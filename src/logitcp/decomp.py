@@ -19,26 +19,17 @@ ordered by weight.
 
 import math
 from dataclasses import dataclass, field, replace
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from . import ops
-from .likelihood import (
-    BinaryTensor,
-    LogitModel,
-    neg_loglik,
-    deviance,
-    sigmoid,
-    working_tensor,
-)
+from .likelihood import LogitModel, neg_loglik, sigmoid, working_tensor
 
 __all__ = [
     "DegenerateDirectionError",
     "FitConfig",
     "FitReport",
     "RankOneFit",
-    "ComponentInfo",
     "soft_threshold",
     "truncate_top",
     "l1_project",
@@ -67,14 +58,6 @@ def _rng(seed, *key):
     if isinstance(seed, (tuple, list)):
         return np.random.default_rng((*tuple(int(s) for s in seed), *key))
     return np.random.default_rng((int(seed), *key))
-
-
-def _pmap(fn, items, threads):
-    # results are collected by position, so the interleaving cannot matter
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=int(threads)) as ex:
-            return list(ex.map(fn, items))
-    return [fn(it) for it in items]
 
 
 # ---------------------------------------------------------------- config
@@ -355,34 +338,81 @@ class RankOneFit:
 
 
 @dataclass
-class ComponentInfo:
-    """Weight and single-component deviance of one fitted component."""
-
-    weight: float
-    deviance: float
-
-
-@dataclass
 class FitReport:
     """What a solver hands back: the model plus how it got there.
 
     loss_trace is the negative log-likelihood after each outer pass of the
     primary run (the dominant component's re-estimation for the multi-start
     pipeline, the MM loop itself for ALS); it is nonincreasing by
-    construction. per_component holds (weight, single-component deviance)
-    pairs in weight order.
+    construction.
     """
 
     model: LogitModel
     loss_trace: np.ndarray
     n_starts_used: int
     clusters_found: int
-    per_component: list
     converged: bool
     reason: str
     method: str = ""
     start_traces: list = field(default_factory=list)
     component_traces: list = field(default_factory=list)
+
+
+# ------------------------------------------------------------- MM engine
+
+
+def _factor_change(new, old):
+    """Largest Frobenius change over the three factors."""
+    return max(np.linalg.norm(a - b) for a, b in zip(new, old))
+
+
+def _columns(f):
+    return f[:, None] if f.ndim == 1 else f
+
+
+def _mm_passes(x, cfg, mu, d, factors, theta, block_update):
+    """Outer MM passes shared by every solver.
+
+    theta holds the logits of the start (mu, d, factors) and is reused in
+    place as the reconstruction buffer. Each pass rebuilds the working
+    tensor, takes the exact offset step, centers, lets
+    block_update(zc, factors) -> (d, factors) decrease the quadratic
+    surrogate, then reconstructs and scores. The loop stops when the loss
+    change falls below the absolute or relative tolerance, or when the
+    factor change falls below factor_tol scaled by the square root of the
+    number of components being updated.
+
+    Returns (mu, d, factors, trace, n_outer, converged, reason); trace holds
+    the negative log-likelihood at the start and after each pass.
+    """
+    scale = math.sqrt(np.size(d))
+    y = np.empty_like(theta)
+    nll_prev = neg_loglik(x, theta)
+    trace = [nll_prev]
+    converged, reason = False, "maximum outer iterations reached"
+    n_outer = 0
+    while n_outer < cfg.max_outer_iters:
+        n_outer += 1
+        working_tensor(x, theta, out=y)
+        theta -= mu  # theta buffer now holds the centered logits
+        mu = offset_update(y, theta)
+        y -= mu  # y buffer now holds the centered working tensor
+        old = factors
+        d, factors = block_update(y, factors)
+        ops.cp_reconstruct(mu, d, *map(_columns, factors), out=theta)
+        nll = neg_loglik(x, theta)
+        trace.append(nll)
+        dn = abs(nll_prev - nll)
+        if dn < cfg.outer_abs_tol:
+            converged, reason = True, "loss change below absolute tolerance"
+        elif dn <= cfg.outer_rel_tol * max(abs(nll), 1e-12):
+            converged, reason = True, "loss change below relative tolerance"
+        elif _factor_change(factors, old) <= scale * cfg.factor_tol:
+            converged, reason = True, "factor change below tolerance"
+        if converged:
+            break
+        nll_prev = nll
+    return mu, d, factors, trace, n_outer, converged, reason
 
 
 # ------------------------------------------------------------ rank-one MM
@@ -421,8 +451,7 @@ def rank_one_mm_fit(x, cfg, init=None, mu0=None, rng=None):
     if rng is None:
         rng = _rng(cfg.seed, 9)
     if init is None:
-        maker = _init_power_spectral if cfg.init == "spectral" else _init_power_random
-        u, v, w, d, mu_init = maker(x, cfg, c, s, rng)
+        u, v, w, d, mu_init = _init_power(x, cfg, s, rng, spectral=cfg.init == "spectral")
         if mu0 is None:
             mu0 = mu_init
     else:
@@ -442,71 +471,29 @@ def rank_one_mm_fit(x, cfg, init=None, mu0=None, rng=None):
         v = _feasible_direction(v, cfg.penalty, None if c is None else c[1], None if s is None else s[1])
     w = _feasible_direction(w, cfg.penalty, None if c is None else c[2], None if s is None else s[2])
     if mu0 is None:
-        q = 2.0 * x.values - 1.0
-        if not x.fully_observed:
-            q[~x.mask] = 0.0
-        mu0 = float(q.mean())
-    mu = float(mu0)
+        mu0 = _base_tensor(x)[1]
 
-    dims = x.dims
-    theta = np.empty(dims)
-    y = np.empty(dims)
-    ops.cp_reconstruct(mu, [d], u[:, None], v[:, None], w[:, None], out=theta)
-    nll_prev = neg_loglik(x, theta)
-    trace = [nll_prev]
-    converged = False
-    reason = "maximum outer iterations reached"
-    n_outer = 0
-
-    for _ in range(cfg.max_outer_iters):
-        n_outer += 1
-        working_tensor(x, theta, out=y)
-        theta -= mu  # theta buffer now holds the centered logits
-        mu = float(y.mean() - theta.mean())
-        zc = y
-        zc -= mu
-        u_out, v_out, w_out = u, v, w
-
+    def block_update(zc, factors):
         if ops.frob_norm(zc) == 0.0:
-            d = 0.0
-        else:
-            for _t in range(cfg.max_inner_iters):
-                u_old, v_old, w_old = u, v, w
-                u = _power_step(zc, u, v, w, 1, cfg.penalty, c, s, rng)
-                v = u if cfg.symmetric_uv else _power_step(zc, u, v, w, 2, cfg.penalty, c, s, rng)
-                w = _power_step(zc, u, v, w, 3, cfg.penalty, c, s, rng)
-                delta = max(
-                    np.linalg.norm(u - u_old),
-                    np.linalg.norm(v - v_old),
-                    np.linalg.norm(w - w_old),
-                )
-                if delta <= cfg.inner_tol:
-                    break
-            d = float(ops.rank_one_contract(zc, u, v, w))
-            if d < 0.0:
-                w = -w
-                d = -d
+            return 0.0, factors
+        u, v, w = factors
+        for _t in range(cfg.max_inner_iters):
+            old = (u, v, w)
+            u = _power_step(zc, u, v, w, 1, cfg.penalty, c, s, rng)
+            v = u if cfg.symmetric_uv else _power_step(zc, u, v, w, 2, cfg.penalty, c, s, rng)
+            w = _power_step(zc, u, v, w, 3, cfg.penalty, c, s, rng)
+            if _factor_change((u, v, w), old) <= cfg.inner_tol:
+                break
+        d = float(ops.rank_one_contract(zc, u, v, w))
+        if d < 0.0:
+            w, d = -w, -d
+        return d, (u, v, w)
 
-        ops.cp_reconstruct(mu, [d], u[:, None], v[:, None], w[:, None], out=theta)
-        nll = neg_loglik(x, theta)
-        trace.append(nll)
-        dn = abs(nll_prev - nll)
-        factor_delta = max(
-            np.linalg.norm(u - u_out),
-            np.linalg.norm(v - v_out),
-            np.linalg.norm(w - w_out),
-        )
-        if dn < cfg.outer_abs_tol:
-            converged, reason = True, "loss change below absolute tolerance"
-            break
-        if dn <= cfg.outer_rel_tol * max(abs(nll), 1e-12):
-            converged, reason = True, "loss change below relative tolerance"
-            break
-        if factor_delta <= cfg.factor_tol:
-            converged, reason = True, "factor change below tolerance"
-            break
-        nll_prev = nll
-
+    mu = float(mu0)
+    theta = ops.cp_reconstruct(mu, [d], u[:, None], v[:, None], w[:, None], out=np.empty(x.dims))
+    mu, d, (u, v, w), trace, n_outer, converged, reason = _mm_passes(
+        x, cfg, mu, d, (u, v, w), theta, block_update
+    )
     return RankOneFit(
         mu=mu,
         weight=d,
@@ -545,53 +532,65 @@ def _base_tensor(x):
     return q - mu, mu
 
 
-def _init_power_spectral(x, cfg, c, s, rng):
-    q, mu = _base_tensor(x)
-    p1, p2, p3 = x.dims
-    if s is None:
-        s1, s2, s3 = p1, p2, p3
-    else:
-        s1, s2, s3 = s
-    probe = rng.standard_normal(p3)
-    probe = truncate_top(probe, min(max(s1, s2, s3), p3))
-    m = ops.rank_one_contract(q, w=probe)
+def _spectral_pair(q, s, rng):
+    # leading singular pair of Q contracted with one random probe on mode 3,
+    # truncated to the l0 pattern; None when the probe slice is degenerate
+    p3 = q.shape[2]
+    s1, s2, s3 = q.shape if s is None else s
+    probe = truncate_top(rng.standard_normal(p3), min(max(s1, s2, s3), p3))
     try:
-        um, sv, vmt = np.linalg.svd(m, full_matrices=False)
+        um, sv, vmt = np.linalg.svd(ops.rank_one_contract(q, w=probe), full_matrices=False)
     except np.linalg.LinAlgError:
-        return _init_power_random(x, cfg, c, s, rng)
+        return None
     if not np.isfinite(sv[0]) or sv[0] <= 0:
-        return _init_power_random(x, cfg, c, s, rng)
+        return None
     u = truncate_top(um[:, 0], s1)
     v = truncate_top(vmt[0], s2)
-    nu, nv = np.linalg.norm(u), np.linalg.norm(v)
-    if nu == 0.0 or nv == 0.0:
-        return _init_power_random(x, cfg, c, s, rng)
-    u /= nu
-    v /= nv
-    if cfg.symmetric_uv:
-        v = u.copy()
-    wbar = ops.rank_one_contract(q, u=u, v=v)
-    d = float(np.linalg.norm(wbar))
-    w = wbar / d if d > 0 else _random_unit(rng, p3)
-    return u, v, w, d, mu
+    if np.linalg.norm(u) == 0.0 or np.linalg.norm(v) == 0.0:
+        return None
+    return u, v
 
 
-def _init_power_random(x, cfg, c, s, rng):
+def _init_power(x, cfg, s, rng, spectral):
+    """Rank-one start (u, v, w, d, mu): u and v from the spectral pair, or
+    Gaussian when spectral is False or the pair is degenerate; w and d then
+    solved from the centered sign tensor."""
     q, mu = _base_tensor(x)
-    p1, p2, p3 = x.dims
-    u = rng.standard_normal(p1)
-    v = rng.standard_normal(p2)
-    if s is not None:
-        u = truncate_top(u, s[0])
-        v = truncate_top(v, s[1])
+    pair = _spectral_pair(q, s, rng) if spectral else None
+    if pair is None:
+        u = rng.standard_normal(x.dims[0])
+        v = rng.standard_normal(x.dims[1])
+        if s is not None:
+            u = truncate_top(u, s[0])
+            v = truncate_top(v, s[1])
+    else:
+        u, v = pair
     u /= np.linalg.norm(u)
     v /= np.linalg.norm(v)
     if cfg.symmetric_uv:
         v = u.copy()
     wbar = ops.rank_one_contract(q, u=u, v=v)
     d = float(np.linalg.norm(wbar))
-    w = wbar / d if d > 0 else _random_unit(rng, p3)
+    w = wbar / d if d > 0 else _random_unit(rng, x.dims[2])
     return u, v, w, d, mu
+
+
+def init_spectral(x, cfg, rng=None):
+    """Data-driven rank-one start (u, v, w, d, mu): singular vectors of the
+    centered sign tensor, with the last mode solved from the data."""
+    _, s = _check_config(x, cfg)
+    return _init_power(x, cfg, s, _rng(cfg.seed, 9) if rng is None else rng, spectral=True)
+
+
+def init_random(x, cfg, rng=None):
+    """Random rank-one start (u, v, w, d, mu): Gaussian factors (truncated
+    to the l0 pattern when one is configured), normalized, with the last
+    mode solved from the data."""
+    _, s = _check_config(x, cfg)
+    return _init_power(x, cfg, s, _rng(cfg.seed, 9) if rng is None else rng, spectral=False)
+
+
+# -------------------------------------------------------------------- ALS
 
 
 def _leading_left_singular(m, r, rng):
@@ -634,38 +633,6 @@ def _init_als(x, cfg, rng, spectral):
     return mu, d[order], u_mat[:, order], v_mat[:, order], w_mat[:, order]
 
 
-def init_spectral(x, cfg, variant="power", rng=None):
-    """Data-driven start: singular vectors of the centered sign tensor.
-
-    variant "power" returns (u, v, w, d, mu) for a rank-one run; "als"
-    returns (mu, d, U, V, W) for the rank-R ALS loop.
-    """
-    c, s = _check_config(x, cfg)
-    if rng is None:
-        rng = _rng(cfg.seed, 9)
-    if variant == "power":
-        return _init_power_spectral(x, cfg, c, s, rng)
-    if variant == "als":
-        return _init_als(x, cfg, rng, spectral=True)
-    raise ValueError(f"unknown variant {variant!r}")
-
-
-def init_random(x, cfg, variant="power", rng=None):
-    """Random start: Gaussian factors (truncated to the l0 pattern when one
-    is configured), normalized, with the last mode solved from the data."""
-    c, s = _check_config(x, cfg)
-    if rng is None:
-        rng = _rng(cfg.seed, 9)
-    if variant == "power":
-        return _init_power_random(x, cfg, c, s, rng)
-    if variant == "als":
-        return _init_als(x, cfg, rng, spectral=False)
-    raise ValueError(f"unknown variant {variant!r}")
-
-
-# -------------------------------------------------------------------- ALS
-
-
 def _normalize_cols_inplace(mat, rng):
     norms = np.linalg.norm(mat, axis=0)
     for j in np.flatnonzero(~np.isfinite(norms) | (norms == 0.0)):
@@ -675,7 +642,7 @@ def _normalize_cols_inplace(mat, rng):
     return mat
 
 
-def als_fit(x, cfg, threads=1):
+def als_fit(x, cfg):
     """Rank-R MM fit by alternating least squares on the working tensor.
 
     Each outer pass rebuilds the working tensor and offset, then cycles
@@ -683,8 +650,7 @@ def als_fit(x, cfg, threads=1):
     cutoff 1e-10) until the factors settle. Weights and signs live in the
     last mode's solve; the output model has weights sorted nonincreasing.
     """
-    del threads  # single trajectory; accepted for interface symmetry
-    c, s = _check_config(x, cfg)
+    _check_config(x, cfg)
     if cfg.penalty != "none":
         raise ValueError("ALS supports penalty 'none' only")
     if cfg.symmetric_uv:
@@ -692,26 +658,13 @@ def als_fit(x, cfg, threads=1):
     rng = _rng(cfg.seed, 4)
     mu, d, u_mat, v_mat, w_mat = _init_als(x, cfg, rng, spectral=(cfg.init == "spectral"))
     r = cfg.rank
-    scale = math.sqrt(r)
+    inner_tol = math.sqrt(r) * cfg.inner_tol
 
-    theta = ops.cp_reconstruct(mu, d, u_mat, v_mat, w_mat)
-    nll_prev = neg_loglik(x, theta)
-    trace = [nll_prev]
-    converged = False
-    reason = "maximum outer iterations reached"
-
-    for _ in range(cfg.max_outer_iters):
-        y = working_tensor(x, theta)
-        theta -= mu
-        mu = float(y.mean() - theta.mean())
-        zc = y - mu
-        z1 = ops.matricize(zc, 1)
-        z2 = ops.matricize(zc, 2)
-        z3 = ops.matricize(zc, 3)
-        u_out, v_out, w_out = u_mat, v_mat, w_mat
-
+    def block_update(zc, factors):
+        z1, z2, z3 = (ops.matricize(zc, mode) for mode in (1, 2, 3))
+        u_mat, v_mat, w_mat = factors
         for _t in range(cfg.max_inner_iters):
-            u_old, v_old, w_old = u_mat, v_mat, w_mat
+            old = (u_mat, v_mat, w_mat)
             gram = (w_mat.T @ w_mat) * (v_mat.T @ v_mat)
             a = z1 @ ops.khatri_rao(w_mat, v_mat) @ np.linalg.pinv(gram, rcond=1e-10)
             u_mat = _normalize_cols_inplace(a, rng)
@@ -722,33 +675,14 @@ def als_fit(x, cfg, threads=1):
             cm = z3 @ ops.khatri_rao(v_mat, u_mat) @ np.linalg.pinv(gram, rcond=1e-10)
             d = np.linalg.norm(cm, axis=0)
             w_mat = _normalize_cols_inplace(cm, rng)
-            delta = max(
-                np.linalg.norm(u_mat - u_old),
-                np.linalg.norm(v_mat - v_old),
-                np.linalg.norm(w_mat - w_old),
-            )
-            if delta <= scale * cfg.inner_tol:
+            if _factor_change((u_mat, v_mat, w_mat), old) <= inner_tol:
                 break
+        return d, (u_mat, v_mat, w_mat)
 
-        theta = ops.cp_reconstruct(mu, d, u_mat, v_mat, w_mat, out=theta)
-        nll = neg_loglik(x, theta)
-        trace.append(nll)
-        dn = abs(nll_prev - nll)
-        factor_delta = max(
-            np.linalg.norm(u_mat - u_out),
-            np.linalg.norm(v_mat - v_out),
-            np.linalg.norm(w_mat - w_out),
-        )
-        if dn < cfg.outer_abs_tol:
-            converged, reason = True, "loss change below absolute tolerance"
-            break
-        if dn <= cfg.outer_rel_tol * max(abs(nll), 1e-12):
-            converged, reason = True, "loss change below relative tolerance"
-            break
-        if factor_delta <= scale * cfg.factor_tol:
-            converged, reason = True, "factor change below tolerance"
-            break
-        nll_prev = nll
+    theta = ops.cp_reconstruct(mu, d, u_mat, v_mat, w_mat)
+    mu, d, (u_mat, v_mat, w_mat), trace, _, converged, reason = _mm_passes(
+        x, cfg, mu, d, (u_mat, v_mat, w_mat), theta, block_update
+    )
 
     order = np.argsort(-d, kind="stable")
     d = d[order]
@@ -758,25 +692,11 @@ def als_fit(x, cfg, threads=1):
         d, u_mat, v_mat, w_mat = d[keep], u_mat[:, keep], v_mat[:, keep], w_mat[:, keep]
         converged = False
         reason = "degenerate zero-weight components dropped"
-    model = LogitModel(mu, d, u_mat, v_mat, w_mat)
-    per_component = [
-        ComponentInfo(
-            weight=float(dj),
-            deviance=deviance(
-                x,
-                ops.cp_reconstruct(
-                    mu, [dj], u_mat[:, j : j + 1], v_mat[:, j : j + 1], w_mat[:, j : j + 1]
-                ),
-            ),
-        )
-        for j, dj in enumerate(d)
-    ]
     return FitReport(
-        model=model,
+        model=LogitModel(mu, d, u_mat, v_mat, w_mat),
         loss_trace=np.asarray(trace),
         n_starts_used=1,
         clusters_found=int(d.shape[0]),
-        per_component=per_component,
         converged=converged and int(d.shape[0]) == r,
         reason=reason,
         method="als",
@@ -796,23 +716,20 @@ def _tuple_distance(a, b):
     return min(dists)
 
 
-def _run_pool(x, cfg, c, s, count, stream, threads):
+def _run_pool(x, cfg, s, count, stream):
     def one(tau):
         rng = _rng(cfg.seed, stream, tau)
         try:
-            if cfg.init == "spectral" and stream == 1:
-                init = _init_power_spectral(x, cfg, c, s, rng)
-            else:
-                init = _init_power_random(x, cfg, c, s, rng)
-            u, v, w, d, mu0 = init
+            spectral = cfg.init == "spectral" and stream == 1
+            u, v, w, d, mu0 = _init_power(x, cfg, s, rng, spectral)
             return rank_one_mm_fit(x, cfg, init=(u, v, w, d), mu0=mu0, rng=rng)
         except DegenerateDirectionError:
             return None
 
-    return [f for f in _pmap(one, range(count), threads) if f is not None]
+    return [f for f in map(one, range(count)) if f is not None]
 
 
-def multi_start_fit(x, cfg, threads=1):
+def multi_start_fit(x, cfg):
     """Rank-R fit for the power-method family (penalty "none", "l1" or "l0").
 
     Runs n_starts independent rank-one MM fits, then extracts R components
@@ -822,11 +739,11 @@ def multi_start_fit(x, cfg, threads=1):
     carries clusters_found < rank and converged=False. The offset is
     re-maximized once at the end with all components fixed.
     """
-    reports = _multi_start_reports(x, cfg, [cfg.rank], threads)
+    reports = _multi_start_reports(x, cfg, [cfg.rank])
     return reports[cfg.rank]
 
 
-def fit_rank_path(x, cfg, ranks, threads=1):
+def fit_rank_path(x, cfg, ranks):
     """Nested fits for several ranks from one multi-start pool.
 
     Greedy extraction makes the rank-r model a prefix of the rank-R one, so
@@ -837,15 +754,15 @@ def fit_rank_path(x, cfg, ranks, threads=1):
     ranks = sorted(set(int(r) for r in ranks))
     if not ranks or ranks[0] < 1:
         raise ValueError("ranks must be positive integers")
-    return _multi_start_reports(x, cfg, ranks, threads)
+    return _multi_start_reports(x, cfg, ranks)
 
 
-def _multi_start_reports(x, cfg, ranks, threads):
+def _multi_start_reports(x, cfg, ranks):
     r_max = max(ranks)
     cfg_max = replace(cfg, rank=r_max)
-    c, s = _check_config(x, cfg_max)
+    _, s = _check_config(x, cfg_max)
     n = cfg_max.effective_starts
-    pool = _run_pool(x, cfg_max, c, s, n, stream=1, threads=threads)
+    pool = _run_pool(x, cfg_max, s, n, stream=1)
     n_used = len(pool)
     if not pool:
         raise RuntimeError("all multi-start fits failed; data may be degenerate")
@@ -859,7 +776,7 @@ def _multi_start_reports(x, cfg, ranks, threads):
             if topped_up:
                 break
             topped_up = True
-            pool = _run_pool(x, cfg_max, c, s, n, stream=2, threads=threads)
+            pool = _run_pool(x, cfg_max, s, n, stream=2)
             n_used += len(pool)
             start_traces.extend(f.trace for f in pool)
             continue
@@ -894,19 +811,6 @@ def _report_from_components(x, cfg, rank, comps, n_starts_used, start_traces):
     w_mat = np.column_stack([f.w for f in comps])
     theta_c = ops.cp_reconstruct(0.0, d, u_mat, v_mat, w_mat)
     mu = final_offset(x, theta_c)
-    model = LogitModel(mu, d, u_mat, v_mat, w_mat)
-    per_component = [
-        ComponentInfo(
-            weight=float(dj),
-            deviance=deviance(
-                x,
-                ops.cp_reconstruct(
-                    mu, [dj], u_mat[:, j : j + 1], v_mat[:, j : j + 1], w_mat[:, j : j + 1]
-                ),
-            ),
-        )
-        for j, dj in enumerate(d)
-    ]
     all_converged = all(f.converged for f in comps)
     if found < rank:
         converged = False
@@ -919,11 +823,10 @@ def _report_from_components(x, cfg, rank, comps, n_starts_used, start_traces):
         reason = "ok"
     penalty_name = {"none": "tp", "l1": "tsp", "l0": "ttp"}[cfg.penalty]
     return FitReport(
-        model=model,
+        model=LogitModel(mu, d, u_mat, v_mat, w_mat),
         loss_trace=comps[0].trace,
         n_starts_used=n_starts_used,
         clusters_found=found,
-        per_component=per_component,
         converged=converged,
         reason=reason,
         method=penalty_name,
@@ -935,7 +838,7 @@ def _report_from_components(x, cfg, rank, comps, n_starts_used, start_traces):
 # ------------------------------------------------------------- dispatcher
 
 
-def fit(x, cfg, method=None, threads=1):
+def fit(x, cfg, method=None):
     """Fit by method name: "als", "tp" (unpenalized power), "tsp" (l1) or
     "ttp" (l0). method None infers it from cfg.penalty (power family)."""
     if method is None:
@@ -948,5 +851,5 @@ def fit(x, cfg, method=None, threads=1):
             f"method {method!r} needs penalty {expected!r}, config has {cfg.penalty!r}"
         )
     if method == "als":
-        return als_fit(x, cfg, threads=threads)
-    return multi_start_fit(x, cfg, threads=threads)
+        return als_fit(x, cfg)
+    return multi_start_fit(x, cfg)

@@ -109,10 +109,16 @@ class LogitModel:
         self.U = np.asarray(self.U, dtype=float)
         self.V = np.asarray(self.V, dtype=float)
         self.W = np.asarray(self.W, dtype=float)
+        if not np.isfinite(self.mu):
+            raise ValueError(f"offset mu must be finite, got {self.mu!r}")
+        if not np.all(np.isfinite(self.d)):
+            raise ValueError("weights d must be finite")
         r = self.d.shape[0]
         for name, f in (("U", self.U), ("V", self.V), ("W", self.W)):
             if f.ndim != 2 or f.shape[1] != r:
                 raise ValueError(f"{name} has shape {f.shape}, expected (rows, {r})")
+            if not np.all(np.isfinite(f)):
+                raise ValueError(f"{name} entries must be finite")
             if r:
                 norms = np.linalg.norm(f, axis=0)
                 if np.any(np.abs(norms - 1.0) > UNIT_NORM_TOL):

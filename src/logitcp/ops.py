@@ -19,7 +19,6 @@ import numpy as np
 __all__ = [
     "matricize",
     "fold",
-    "mode_vec_contract",
     "rank_one_contract",
     "khatri_rao",
     "hadamard",
@@ -65,30 +64,11 @@ def fold(m, mode, dims):
     return np.moveaxis(t, 0, mode - 1)
 
 
-def mode_vec_contract(t, mode, v):
-    """Contract a tensor with a vector along one mode (1-based).
-
-    The contracted axis is removed; remaining axes keep their relative
-    order, so chaining over two modes of a 3-way tensor yields a vector and
-    over all three a scalar.
-    """
-    t = np.asarray(t, dtype=float)
-    v = np.asarray(v, dtype=float)
-    if not 1 <= mode <= t.ndim:
-        raise ValueError(f"mode {mode} out of range for a {t.ndim}-way tensor")
-    if v.shape != (t.shape[mode - 1],):
-        raise ValueError(
-            f"vector has shape {v.shape}, mode-{mode} extent is {t.shape[mode - 1]}"
-        )
-    return np.tensordot(t, v, axes=([mode - 1], [0]))
-
-
 def rank_one_contract(t, u=None, v=None, w=None):
     """Contract a 3-way tensor with vectors on any subset of its modes.
 
-    Two vectors leave the fiber along the remaining mode; all three give a
-    scalar. Convenience wrapper over mode_vec_contract for the power-method
-    inner loops.
+    One vector leaves a matrix over the other two modes, two leave the fiber
+    along the remaining mode, and all three give a scalar.
     """
     t = _as_tensor3(t)
     lhs = ["ijk"]

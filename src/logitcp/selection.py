@@ -166,18 +166,18 @@ def _subset(x, mask):
     return BinaryTensor(np.where(mask, x.values, 0.0), mask)
 
 
-def _fit_ranks(x, cfg, method, ranks, threads):
+def _fit_ranks(x, cfg, method, ranks):
     """Models per rank at one penalty setting; the power family shares a
     single multi-start pool across ranks."""
     if method == "als":
         out = {}
         for r in ranks:
-            out[r] = decomp.als_fit(x, replace(cfg, rank=r), threads=threads)
+            out[r] = decomp.als_fit(x, replace(cfg, rank=r))
         return out
-    return decomp.fit_rank_path(x, cfg, ranks, threads=threads)
+    return decomp.fit_rank_path(x, cfg, ranks)
 
 
-def cross_validate(x, cfg, grid, method="tp", threads=1, seed=None):
+def cross_validate(x, cfg, grid, method="tp", seed=None):
     """Mean held-out negative log-likelihood per grid cell.
 
     Cells that fail to fit are marked invalid with a note rather than
@@ -196,7 +196,7 @@ def cross_validate(x, cfg, grid, method="tp", threads=1, seed=None):
             for train_mask, test_mask in folds:
                 train = _subset(x, train_mask)
                 test = _subset(x, test_mask)
-                models = _fit_ranks(train, cell_cfg, method, grid.ranks, threads)
+                models = _fit_ranks(train, cell_cfg, method, grid.ranks)
                 for r in grid.ranks:
                     scores[r].append(neg_loglik(test, models[r].model))
                     dfs[r].append(model_df(models[r].model))
@@ -227,7 +227,7 @@ def _fold_seed(seed):
     return int(seed)
 
 
-def ic_sweep(x, cfg, grid, method="tp", criterion="bic", threads=1):
+def ic_sweep(x, cfg, grid, method="tp", criterion="bic"):
     """AIC or BIC per grid cell, fitted on the full data."""
     if criterion not in ("aic", "bic"):
         raise ValueError("ic_sweep scores aic or bic")
@@ -237,7 +237,7 @@ def ic_sweep(x, cfg, grid, method="tp", criterion="bic", threads=1):
     for ratio in ratios:
         try:
             cell_cfg = _cfg_for(cfg, x.dims, method, max(grid.ranks), ratio)
-            models = _fit_ranks(x, cell_cfg, method, grid.ranks, threads)
+            models = _fit_ranks(x, cell_cfg, method, grid.ranks)
         except (ValueError, RuntimeError) as exc:
             for r in grid.ranks:
                 table.rows.append(
@@ -304,7 +304,7 @@ def explained_deviance(x, model):
     return ExplainedDeviance(float(d0), cumulative, marginal, component_dev)
 
 
-def select_model(x, cfg, grid, method="tp", threads=1):
+def select_model(x, cfg, grid, method="tp"):
     """Two-stage grid selection.
 
     Stage 1 fixes the rank at max(grid.ranks) and sweeps the sparsity ratio
@@ -321,7 +321,7 @@ def select_model(x, cfg, grid, method="tp", threads=1):
         raise ValueError(f"method {method!r} needs grid.ratios")
 
     if criterion == "deviance":
-        return _select_by_deviance(x, cfg, grid, method, threads, sweep_ratio)
+        return _select_by_deviance(x, cfg, grid, method, sweep_ratio)
 
     chosen_ratio = None
     rows = []
@@ -332,7 +332,7 @@ def select_model(x, cfg, grid, method="tp", threads=1):
             criterion=criterion,
             cv_folds=grid.cv_folds,
         )
-        t1 = _score(x, cfg, stage1, method, criterion, threads)
+        t1 = _score(x, cfg, stage1, method, criterion)
         chosen_ratio = t1.best().ratio
         rows.extend(t1.rows)
         stage2_ratios = (chosen_ratio,)
@@ -345,7 +345,7 @@ def select_model(x, cfg, grid, method="tp", threads=1):
         criterion=criterion,
         cv_folds=grid.cv_folds,
     )
-    t2 = _score(x, cfg, stage2, method, criterion, threads)
+    t2 = _score(x, cfg, stage2, method, criterion)
     best = t2.best()
     # stage-1 rows for the winning ratio duplicate stage-2 cells; keep the
     # stage-2 copy and mark the choice there
@@ -357,13 +357,13 @@ def select_model(x, cfg, grid, method="tp", threads=1):
     return best.rank, best.ratio, table
 
 
-def _score(x, cfg, grid, method, criterion, threads):
+def _score(x, cfg, grid, method, criterion):
     if criterion == "cv":
-        return cross_validate(x, cfg, grid, method, threads=threads)
-    return ic_sweep(x, cfg, grid, method, criterion, threads=threads)
+        return cross_validate(x, cfg, grid, method)
+    return ic_sweep(x, cfg, grid, method, criterion)
 
 
-def _select_by_deviance(x, cfg, grid, method, threads, sweep_ratio):
+def _select_by_deviance(x, cfg, grid, method, sweep_ratio):
     if sweep_ratio and len(grid.ratios) != 1:
         raise ValueError(
             "the deviance criterion selects ranks; give a single ratio"
@@ -371,7 +371,7 @@ def _select_by_deviance(x, cfg, grid, method, threads, sweep_ratio):
     ratio = grid.ratios[0] if sweep_ratio else None
     r_max = max(grid.ranks)
     cell_cfg = _cfg_for(cfg, x.dims, method, r_max, ratio)
-    models = _fit_ranks(x, cell_cfg, method, [r_max], threads)
+    models = _fit_ranks(x, cell_cfg, method, [r_max])
     report = models[r_max]
     ladder = explained_deviance(x, report.model)
     table = ScoreTable(criterion="deviance")

@@ -314,13 +314,11 @@ def test_init_shapes_and_determinism():
     b = init_random(x, cfg)
     for va, vb in zip(a, b):
         np.testing.assert_array_equal(va, vb)
-    u, v, w, d, mu = a
-    assert u.shape == (x.dims[0],) and v.shape == (x.dims[1],) and w.shape == (x.dims[2],)
-    mu0, d0, U, V, W = init_spectral(x, FitConfig(rank=2, seed=4), variant="als")
-    assert U.shape == (x.dims[0], 2) and V.shape == (x.dims[1], 2) and W.shape == (x.dims[2], 2)
-    assert d0.shape == (2,)
+    for u, v, w, d, mu in (a, init_spectral(x, cfg)):
+        assert u.shape == (x.dims[0],) and v.shape == (x.dims[1],) and w.shape == (x.dims[2],)
+        assert d > 0 and np.isfinite(mu)
     with pytest.raises(ValueError):
-        init_spectral(x, cfg, variant="other")
+        init_spectral(x, FitConfig(rank=1, init="other"))
 
 
 def test_l0_inits_are_feasible():
@@ -411,6 +409,35 @@ def test_als_fit_runs_and_descends():
         als_fit(x, FitConfig(rank=1, penalty="l1", c=c_from_ratio(x.dims, 0.9)))
     with pytest.raises(ValueError):
         als_fit(x, FitConfig(rank=1, symmetric_uv=True))
+
+
+TINY = 1e-300
+STOP_REASONS = {
+    "outer_abs_tol": "loss change below absolute tolerance",
+    "outer_rel_tol": "loss change below relative tolerance",
+    "factor_tol": "factor change below tolerance",
+}
+
+
+def _stop_run(solver, x, **tols):
+    if solver == "rank_one":
+        f = rank_one_mm_fit(x, FitConfig(rank=1, seed=1, **tols))
+        return f.converged, f.reason, len(f.trace) - 1
+    report = als_fit(x, FitConfig(rank=2, seed=1, **tols))
+    return report.converged, report.reason, len(report.loss_trace) - 1
+
+
+@pytest.mark.parametrize("solver", ["rank_one", "als"])
+def test_outer_stop_rule_reasons(solver):
+    x, _ = planted_rank_one()
+    tight = dict.fromkeys(STOP_REASONS, TINY)
+    for loose, reason in STOP_REASONS.items():
+        converged, got, passes = _stop_run(solver, x, **{**tight, loose: 1e300})
+        assert (converged, got, passes) == (True, reason, 1)
+    converged, got, passes = _stop_run(solver, x, max_outer_iters=1, **tight)
+    assert (converged, got, passes) == (False, "maximum outer iterations reached", 1)
+    converged, got, passes = _stop_run(solver, x, max_outer_iters=3, **tight)
+    assert (converged, got, passes) == (False, "maximum outer iterations reached", 3)
 
 
 def test_fit_dispatch_and_config_validation():

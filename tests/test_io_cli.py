@@ -244,26 +244,6 @@ def test_cli_fit_flag_validation(sim_file, tmp_path, capsys):
                    "--out", out) == 2
 
 
-def test_cli_threads_env_checked_and_result_invariant(sim_file, tmp_path,
-                                                      monkeypatch, capsys):
-    out = tmp_path / "t1.model"
-    monkeypatch.setenv("LOGITCP_THREADS", "nope")
-    assert run_cli("fit", "--data", sim_file, "--rank", "1", "--out", out) == 2
-    assert "LOGITCP_THREADS" in capsys.readouterr().err
-    monkeypatch.setenv("LOGITCP_THREADS", "0")
-    assert run_cli("fit", "--data", sim_file, "--rank", "1", "--out", out) == 2
-    monkeypatch.setenv("LOGITCP_THREADS", "2")
-    rc = run_cli("fit", "--data", sim_file, "--rank", "1", "--method", "tp",
-                 "--max-outer", "200", "--seed", "0", "--out", out)
-    assert rc == 0
-    monkeypatch.setenv("LOGITCP_THREADS", "1")
-    out1 = tmp_path / "t2.model"
-    rc = run_cli("fit", "--data", sim_file, "--rank", "1", "--method", "tp",
-                 "--max-outer", "200", "--seed", "0", "--out", out1)
-    assert rc == 0
-    assert out.read_bytes() == out1.read_bytes()  # threads never change results
-
-
 def test_cli_select_writes_score_table(sim_file, tmp_path, capsys):
     out = tmp_path / "scores.csv"
     rc = run_cli("select", "--data", sim_file, "--ranks", "1,2",
@@ -317,6 +297,16 @@ def test_cli_complete_with_model_and_holdout(sim_file, tmp_path, capsys):
         i, j, k, prob, label = line.split(",")
         assert not kept.mask[int(i) - 1, int(j) - 1, int(k) - 1]
         assert 0.0 <= float(prob) <= 1.0 and label in ("0", "1")
+    # reference: every unobserved cell, first index fastest
+    probs = fileio.read_model(modelfile)[0].probs()
+    want = []
+    for k in range(kept.dims[2]):
+        for j in range(kept.dims[1]):
+            for i in range(kept.dims[0]):
+                if not kept.mask[i, j, k]:
+                    p = float(probs[i, j, k])
+                    want.append(f"{i + 1},{j + 1},{k + 1},{p!r},{int(p >= 0.5)}")
+    assert lines[1:] == want
 
 
 def test_cli_complete_fit_flags_path(sim_file, tmp_path, capsys):
@@ -368,3 +358,19 @@ def test_cli_report_with_truth(sim_file, tmp_path, capsys):
     vals = np.array([[float(v) for v in row.split(",")] for row in rows])
     assert np.abs(vals).max() == pytest.approx(1.0, abs=1e-12)
     assert run_cli("report", "--model", tmp_path / "nope.model", "--out", out) == 2
+
+
+@pytest.mark.parametrize(
+    "line, token",
+    [(3, "mu nan"), (4, "d inf 0.3333333333333333"), (6, "nan -0.2161482816740278")],
+)
+def test_cli_report_rejects_non_finite_model(tmp_path, capsys, line, token):
+    good = tmp_path / "good.model"
+    fileio.write_model(good, small_model())
+    lines = good.read_text().splitlines()
+    lines[line] = token
+    bad = tmp_path / "bad.model"
+    bad.write_text("\n".join(lines) + "\n")
+    assert run_cli("report", "--model", bad, "--out", tmp_path / "rep") == 2
+    assert "finite" in capsys.readouterr().err
+    assert not (tmp_path / "rep.txt").exists()

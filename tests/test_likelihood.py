@@ -149,6 +149,31 @@ def test_logit_model_reconstruction_and_validation():
         LogitModel(0.0, [1.0, 2.0], np.hstack([u, u]), np.hstack([v, v]), np.hstack([w, w]))
 
 
+@pytest.mark.parametrize(
+    "field, bad",
+    [
+        ("mu", math.nan),
+        ("mu", math.inf),
+        ("d", [math.nan]),
+        ("d", [math.inf]),
+        ("U", [[math.nan], [1.0]]),
+        ("V", [[0.6], [math.inf]]),
+        ("W", [[math.nan], [math.nan]]),
+    ],
+)
+def test_logit_model_rejects_non_finite(field, bad):
+    parts = {
+        "mu": 0.25,
+        "d": [2.0],
+        "U": [[1.0], [0.0]],
+        "V": [[0.6], [0.8]],
+        "W": [[0.0], [1.0]],
+    }
+    parts[field] = bad
+    with pytest.raises(ValueError, match="finite"):
+        LogitModel(**parts)
+
+
 def test_logit_model_rank_zero():
     m = LogitModel(0.5, [], np.zeros((2, 0)), np.zeros((3, 0)), np.zeros((4, 0)))
     assert m.rank == 0
@@ -160,6 +185,8 @@ def test_binary_tensor_validation():
         BinaryTensor(np.full((2, 2, 2), 0.5), np.ones((2, 2, 2), dtype=bool))
     with pytest.raises(ValueError):
         BinaryTensor(np.zeros((2, 2, 2)), np.zeros((2, 2, 2), dtype=bool))
+    with pytest.raises(ValueError):
+        BinaryTensor(np.full((2, 2, 2), np.nan), np.ones((2, 2, 2), dtype=bool))
     # unobserved cells are zero-filled on construction
     vals = np.array([[[1.0, 7.0]]])
     mask = np.array([[[True, False]]])

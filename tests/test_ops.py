@@ -46,12 +46,12 @@ def test_fold_rejects_wrong_size():
         ops.fold(np.zeros((2, 5)), 1, (2, 2, 2))
 
 
-def test_mode_vec_contract_matches_triple_loop():
+def test_rank_one_contract_single_vector_matches_triple_loop():
     rng = np.random.default_rng(1)
     t = rng.standard_normal((3, 4, 5))
     vecs = {1: rng.standard_normal(3), 2: rng.standard_normal(4), 3: rng.standard_normal(5)}
     for mode, v in vecs.items():
-        got = ops.mode_vec_contract(t, mode, v)
+        got = ops.rank_one_contract(t, **{"uvw"[mode - 1]: v})
         shape = [3, 4, 5]
         del shape[mode - 1]
         want = np.zeros(shape)
