@@ -68,33 +68,24 @@ def _run_simulate(args):
 
 def _fit_cfg(args, dims):
     method = args.method
-    c = s = None
-    penalty = "none"
-    if method == "tsp":
-        if args.c_ratio is None:
-            raise UsageError("--method tsp needs --c-ratio")
-        penalty, c = "l1", decomp.c_from_ratio(dims, args.c_ratio)
-    elif args.c_ratio is not None:
-        raise UsageError("--c-ratio only applies to --method tsp")
-    if method == "ttp":
-        if args.s_ratio is None:
-            raise UsageError("--method ttp needs --s-ratio")
-        penalty, s = "l0", decomp.s_from_ratio(dims, args.s_ratio)
-    elif args.s_ratio is not None:
-        raise UsageError("--s-ratio only applies to --method ttp")
+    flags = (("--c-ratio", args.c_ratio, "tsp"), ("--s-ratio", args.s_ratio, "ttp"))
+    for flag, ratio, owner in flags:
+        if method == owner and ratio is None:
+            raise UsageError(f"--method {owner} needs {flag}")
+        if method != owner and ratio is not None:
+            raise UsageError(f"{flag} only applies to --method {owner}")
     if args.symmetric_uv and method == "als":
         raise UsageError("--symmetric-uv is only available for tp/tsp/ttp")
-    return decomp.FitConfig(
+    cfg = decomp.FitConfig(
         rank=args.rank,
-        penalty=penalty,
-        c=c,
-        s=s,
         n_starts=args.starts,
         init=args.init,
         max_outer_iters=args.max_outer,
         symmetric_uv=args.symmetric_uv,
         seed=args.seed,
     )
+    ratio = args.c_ratio if method == "tsp" else args.s_ratio
+    return decomp.method_config(cfg, method, dims, ratio)
 
 
 def _config_echo(cfg, method):

@@ -45,19 +45,30 @@ __all__ = [
     "fit",
     "c_from_ratio",
     "s_from_ratio",
+    "method_config",
 ]
 
-METHODS = ("als", "tp", "tsp", "ttp")
+# method name -> the penalty of its block update
+PENALTIES = {"als": "none", "tp": "none", "tsp": "l1", "ttp": "l0"}
+METHODS = tuple(PENALTIES)
+# penalty -> the power-family method running it
+_POWER_METHODS = {PENALTIES[m]: m for m in ("tp", "tsp", "ttp")}
 
 
 class DegenerateDirectionError(ValueError):
     """A block update produced a zero direction that cannot be normalized."""
 
 
-def _rng(seed, *key):
+def _seed_tuple(seed, *key):
+    """seed (an int or a tuple of ints) extended by key, as one tuple of
+    ints; the package derives every random stream from such a tuple."""
     if isinstance(seed, (tuple, list)):
-        return np.random.default_rng((*tuple(int(s) for s in seed), *key))
-    return np.random.default_rng((int(seed), *key))
+        return (*(int(s) for s in seed), *key)
+    return (int(seed), *key)
+
+
+def _rng(seed, *key):
+    return np.random.default_rng(_seed_tuple(seed, *key))
 
 
 # ---------------------------------------------------------------- config
@@ -104,6 +115,24 @@ def c_from_ratio(dims, ratio):
 def s_from_ratio(dims, ratio):
     """Per-mode l0 cardinalities s_i = floor(ratio * p_i)."""
     return tuple(int(math.floor(float(ratio) * p)) for p in dims)
+
+
+def _penalty_of(method):
+    if method not in PENALTIES:
+        raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
+    return PENALTIES[method]
+
+
+def method_config(cfg, method, dims, ratio=None):
+    """cfg set up for `method`: its penalty, plus the l1 budgets
+    c_from_ratio(dims, ratio) for tsp or the l0 cardinalities
+    s_from_ratio(dims, ratio) for ttp."""
+    penalty = _penalty_of(method)
+    if penalty != "none" and ratio is None:
+        raise ValueError(f"{method} needs a sparsity ratio")
+    c = c_from_ratio(dims, ratio) if penalty == "l1" else None
+    s = s_from_ratio(dims, ratio) if penalty == "l0" else None
+    return replace(cfg, penalty=penalty, c=c, s=s)
 
 
 def _check_config(x, cfg):
@@ -821,7 +850,6 @@ def _report_from_components(x, cfg, rank, comps, n_starts_used, start_traces):
     else:
         converged = True
         reason = "ok"
-    penalty_name = {"none": "tp", "l1": "tsp", "l0": "ttp"}[cfg.penalty]
     return FitReport(
         model=LogitModel(mu, d, u_mat, v_mat, w_mat),
         loss_trace=comps[0].trace,
@@ -829,7 +857,7 @@ def _report_from_components(x, cfg, rank, comps, n_starts_used, start_traces):
         clusters_found=found,
         converged=converged,
         reason=reason,
-        method=penalty_name,
+        method=_POWER_METHODS[cfg.penalty],
         start_traces=list(start_traces),
         component_traces=[f.trace for f in comps],
     )
@@ -842,10 +870,8 @@ def fit(x, cfg, method=None):
     """Fit by method name: "als", "tp" (unpenalized power), "tsp" (l1) or
     "ttp" (l0). method None infers it from cfg.penalty (power family)."""
     if method is None:
-        method = {"none": "tp", "l1": "tsp", "l0": "ttp"}[cfg.penalty]
-    if method not in METHODS:
-        raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
-    expected = {"als": "none", "tp": "none", "tsp": "l1", "ttp": "l0"}[method]
+        method = _POWER_METHODS[cfg.penalty]
+    expected = _penalty_of(method)
     if cfg.penalty != expected:
         raise ValueError(
             f"method {method!r} needs penalty {expected!r}, config has {cfg.penalty!r}"

@@ -13,6 +13,7 @@ write(read(f)) is byte-identical. All writers go through a temp file and
 atomic rename.
 """
 
+import math
 import os
 import tempfile
 
@@ -72,7 +73,7 @@ def write_tensor(path, values, mask=None, binary=True):
 
 
 def read_tensor(path):
-    """Read a tensor file; returns (values, mask)."""
+    """Read a tensor file; returns (values, mask). Values must be finite."""
     with open(path) as fh:
         header = fh.readline().split()
         if len(header) != 4 or header[0] != "dims":
@@ -96,6 +97,8 @@ def read_tensor(path):
                 v = float(parts[3])
             except ValueError:
                 raise ValueError(f"{path}:{ln}: bad record {line!r}") from None
+            if not math.isfinite(v):
+                raise ValueError(f"{path}:{ln}: non-finite value {parts[3]!r}")
             if not (1 <= i <= dims[0] and 1 <= j <= dims[1] and 1 <= k <= dims[2]):
                 raise ValueError(f"{path}:{ln}: index ({i},{j},{k}) out of range {dims}")
             if mask[i - 1, j - 1, k - 1]:

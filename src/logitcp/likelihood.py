@@ -136,10 +136,6 @@ class LogitModel:
     def dims(self):
         return (self.U.shape[0], self.V.shape[0], self.W.shape[0])
 
-    def theta_centered(self, out=None):
-        """CP part of the logits, without the offset."""
-        return ops.cp_reconstruct(0.0, self.d, self.U, self.V, self.W, out=out)
-
     def theta(self, out=None):
         """Full logit tensor."""
         return ops.cp_reconstruct(self.mu, self.d, self.U, self.V, self.W, out=out)
@@ -217,15 +213,11 @@ def majorizer_gap(x, theta, anchor):
 
 
 def predict_probs(model):
-    """Probability tensor sigmoid(theta) of a fitted model."""
-    return _probs_of(model)
-
-
-def _probs_of(model):
+    """Probability tensor sigmoid(theta) of a fitted model (or of a raw
+    logit tensor)."""
     if isinstance(model, LogitModel):
         return model.probs()
-    theta = np.asarray(model, dtype=float)
-    return sigmoid(theta)
+    return sigmoid(np.asarray(model, dtype=float))
 
 
 def impute(probs, threshold=0.5):

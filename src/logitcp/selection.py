@@ -85,7 +85,8 @@ def cv_split(x, n_folds=5, seed=0):
 
 @dataclass
 class SelectionGrid:
-    """Candidate ranks and (optional) sparsity ratios to sweep."""
+    """Candidate ranks and (optional) sparsity ratios to sweep; a repeated
+    value is one grid cell, kept at its first position."""
 
     ranks: tuple
     ratios: tuple | None = None
@@ -93,11 +94,11 @@ class SelectionGrid:
     cv_folds: int = 5
 
     def __post_init__(self):
-        self.ranks = tuple(int(r) for r in self.ranks)
+        self.ranks = tuple(dict.fromkeys(int(r) for r in self.ranks))
         if not self.ranks or min(self.ranks) < 1:
             raise ValueError("ranks must be positive integers")
         if self.ratios is not None:
-            self.ratios = tuple(float(r) for r in self.ratios)
+            self.ratios = tuple(dict.fromkeys(float(r) for r in self.ratios))
             if not self.ratios:
                 self.ratios = None
         if self.criterion not in ("aic", "bic", "cv", "deviance"):
@@ -148,20 +149,6 @@ class ScoreTable:
             )
 
 
-def _cfg_for(cfg, dims, method, rank, ratio):
-    if method in ("als", "tp"):
-        return replace(cfg, rank=rank, penalty="none", c=None, s=None)
-    if method == "tsp":
-        if ratio is None:
-            raise ValueError("tsp sweep needs a ratio")
-        return replace(cfg, rank=rank, penalty="l1", c=decomp.c_from_ratio(dims, ratio), s=None)
-    if method == "ttp":
-        if ratio is None:
-            raise ValueError("ttp sweep needs a ratio")
-        return replace(cfg, rank=rank, penalty="l0", s=decomp.s_from_ratio(dims, ratio), c=None)
-    raise ValueError(f"unknown method {method!r}")
-
-
 def _subset(x, mask):
     return BinaryTensor(np.where(mask, x.values, 0.0), mask)
 
@@ -177,6 +164,31 @@ def _fit_ranks(x, cfg, method, ranks):
     return decomp.fit_rank_path(x, cfg, ranks)
 
 
+def _sweep(x, cfg, grid, method, criterion, score_ratio):
+    """One row per (ratio, rank) grid cell, ratios outermost.
+
+    score_ratio(cell_cfg) fits every grid rank at one penalty setting and
+    returns {rank: (score, df, neg_loglik)}. A ratio whose fit raises
+    ValueError or RuntimeError gets invalid rows with the message as a note
+    rather than aborting the sweep.
+    """
+    ratios = grid.ratios if (grid.ratios and method in ("tsp", "ttp")) else (None,)
+    cfg = replace(cfg, rank=max(grid.ranks))
+    table = ScoreTable(criterion=criterion)
+    for ratio in ratios:
+        try:
+            cells = score_ratio(decomp.method_config(cfg, method, x.dims, ratio))
+        except (ValueError, RuntimeError) as exc:
+            table.rows.extend(
+                ScoreRow(r, ratio, math.nan, math.nan, math.nan, valid=False,
+                         note=f"failed: {exc}")
+                for r in grid.ranks
+            )
+            continue
+        table.rows.extend(ScoreRow(r, ratio, *cells[r]) for r in grid.ranks)
+    return table
+
+
 def cross_validate(x, cfg, grid, method="tp", seed=None):
     """Mean held-out negative log-likelihood per grid cell.
 
@@ -184,47 +196,24 @@ def cross_validate(x, cfg, grid, method="tp", seed=None):
     aborting the sweep.
     """
     seed = cfg.seed if seed is None else seed
-    folds = cv_split(x, grid.cv_folds, seed=_fold_seed(seed))
-    ratios = grid.ratios if (grid.ratios and method in ("tsp", "ttp")) else (None,)
-    table = ScoreTable(criterion="cv")
-    for ratio in ratios:
-        scores = {r: [] for r in grid.ranks}
+    folds = cv_split(x, grid.cv_folds, seed=decomp._seed_tuple(seed))
+
+    def score_ratio(cell_cfg):
+        nll = {r: [] for r in grid.ranks}
         dfs = {r: [] for r in grid.ranks}
-        note = ""
-        try:
-            cell_cfg = _cfg_for(cfg, x.dims, method, max(grid.ranks), ratio)
-            for train_mask, test_mask in folds:
-                train = _subset(x, train_mask)
-                test = _subset(x, test_mask)
-                models = _fit_ranks(train, cell_cfg, method, grid.ranks)
-                for r in grid.ranks:
-                    scores[r].append(neg_loglik(test, models[r].model))
-                    dfs[r].append(model_df(models[r].model))
-        except (ValueError, RuntimeError) as exc:
-            note = f"failed: {exc}"
+        for train_mask, test_mask in folds:
+            test = _subset(x, test_mask)
+            models = _fit_ranks(_subset(x, train_mask), cell_cfg, method, grid.ranks)
+            for r in grid.ranks:
+                nll[r].append(neg_loglik(test, models[r].model))
+                dfs[r].append(model_df(models[r].model))
+        cells = {}
         for r in grid.ranks:
-            if note or not scores[r]:
-                table.rows.append(
-                    ScoreRow(r, ratio, math.nan, math.nan, math.nan, valid=False, note=note)
-                )
-            else:
-                table.rows.append(
-                    ScoreRow(
-                        r,
-                        ratio,
-                        float(np.mean(scores[r])),
-                        float(np.mean(dfs[r])),
-                        float(np.mean(scores[r])),
-                    )
-                )
-    return table
+            mean_nll = float(np.mean(nll[r]))
+            cells[r] = (mean_nll, float(np.mean(dfs[r])), mean_nll)
+        return cells
 
-
-def _fold_seed(seed):
-    # cv_split takes a plain rng seed; tuples are folded into one
-    if isinstance(seed, (tuple, list)):
-        return tuple(int(s) for s in seed)
-    return int(seed)
+    return _sweep(x, cfg, grid, method, "cv", score_ratio)
 
 
 def ic_sweep(x, cfg, grid, method="tp", criterion="bic"):
@@ -232,25 +221,16 @@ def ic_sweep(x, cfg, grid, method="tp", criterion="bic"):
     if criterion not in ("aic", "bic"):
         raise ValueError("ic_sweep scores aic or bic")
     score_fn = aic if criterion == "aic" else bic
-    ratios = grid.ratios if (grid.ratios and method in ("tsp", "ttp")) else (None,)
-    table = ScoreTable(criterion=criterion)
-    for ratio in ratios:
-        try:
-            cell_cfg = _cfg_for(cfg, x.dims, method, max(grid.ranks), ratio)
-            models = _fit_ranks(x, cell_cfg, method, grid.ranks)
-        except (ValueError, RuntimeError) as exc:
-            for r in grid.ranks:
-                table.rows.append(
-                    ScoreRow(r, ratio, math.nan, math.nan, math.nan, valid=False,
-                             note=f"failed: {exc}")
-                )
-            continue
+
+    def score_ratio(cell_cfg):
+        models = _fit_ranks(x, cell_cfg, method, grid.ranks)
+        cells = {}
         for r in grid.ranks:
             m = models[r].model
-            table.rows.append(
-                ScoreRow(r, ratio, score_fn(x, m), model_df(m), neg_loglik(x, m))
-            )
-    return table
+            cells[r] = (score_fn(x, m), model_df(m), neg_loglik(x, m))
+        return cells
+
+    return _sweep(x, cfg, grid, method, criterion, score_ratio)
 
 
 @dataclass
@@ -305,13 +285,17 @@ def explained_deviance(x, model):
 
 
 def select_model(x, cfg, grid, method="tp"):
-    """Two-stage grid selection.
+    """Two-stage grid selection from one sweep of the whole grid.
 
-    Stage 1 fixes the rank at max(grid.ranks) and sweeps the sparsity ratio
-    by the grid's criterion; stage 2 sweeps ranks at the chosen ratio. For
-    unpenalized methods (or a grid without ratios) only stage 2 runs. The
-    deviance criterion ranks by the explained-deviance ladder and picks the
-    largest rank whose marginal share is at least 1%.
+    Stage 1 fixes the rank at max(grid.ranks) and picks the sparsity ratio
+    by the grid's criterion; stage 2 picks the rank among the rows at the
+    chosen ratio. Both stages read one table: the power family builds every
+    rank at a ratio from one multi-start pool (per fold), the same pool a
+    rank sweep at that ratio alone would fit. For unpenalized methods (or a
+    grid without ratios) only stage 2 applies. The returned table holds the
+    stage-1 rows of the other ratios, then the stage-2 rows. The deviance
+    criterion ranks by the explained-deviance ladder and picks the largest
+    rank whose marginal share is at least 1%.
 
     Returns (chosen_rank, chosen_ratio, ScoreTable).
     """
@@ -323,38 +307,16 @@ def select_model(x, cfg, grid, method="tp"):
     if criterion == "deviance":
         return _select_by_deviance(x, cfg, grid, method, sweep_ratio)
 
-    chosen_ratio = None
-    rows = []
+    rows = stage2 = _score(x, cfg, grid, method, criterion).rows
     if sweep_ratio:
-        stage1 = SelectionGrid(
-            ranks=(max(grid.ranks),),
-            ratios=grid.ratios,
-            criterion=criterion,
-            cv_folds=grid.cv_folds,
-        )
-        t1 = _score(x, cfg, stage1, method, criterion)
-        chosen_ratio = t1.best().ratio
-        rows.extend(t1.rows)
-        stage2_ratios = (chosen_ratio,)
-    else:
-        stage2_ratios = None
-
-    stage2 = SelectionGrid(
-        ranks=grid.ranks,
-        ratios=stage2_ratios,
-        criterion=criterion,
-        cv_folds=grid.cv_folds,
-    )
-    t2 = _score(x, cfg, stage2, method, criterion)
-    best = t2.best()
-    # stage-1 rows for the winning ratio duplicate stage-2 cells; keep the
-    # stage-2 copy and mark the choice there
-    seen = {(r.rank, r.ratio) for r in t2.rows}
-    rows = [r for r in rows if (r.rank, r.ratio) not in seen] + t2.rows
+        stage1 = [r for r in rows if r.rank == max(grid.ranks)]
+        ratio = ScoreTable(criterion, stage1).best().ratio
+        stage2 = [r for r in rows if r.ratio == ratio]
+        rows = [r for r in stage1 if r.ratio != ratio] + stage2
+    best = ScoreTable(criterion, stage2).best()
     for r in rows:
         r.chosen = r is best
-    table = ScoreTable(criterion=criterion, rows=rows)
-    return best.rank, best.ratio, table
+    return best.rank, best.ratio, ScoreTable(criterion=criterion, rows=rows)
 
 
 def _score(x, cfg, grid, method, criterion):
@@ -370,7 +332,7 @@ def _select_by_deviance(x, cfg, grid, method, sweep_ratio):
         )
     ratio = grid.ratios[0] if sweep_ratio else None
     r_max = max(grid.ranks)
-    cell_cfg = _cfg_for(cfg, x.dims, method, r_max, ratio)
+    cell_cfg = decomp.method_config(replace(cfg, rank=r_max), method, x.dims, ratio)
     models = _fit_ranks(x, cell_cfg, method, [r_max])
     report = models[r_max]
     ladder = explained_deviance(x, report.model)

@@ -129,18 +129,18 @@ def calibrate_baseline(dims, rank, seed=0, reps=100, n_starts=10):
     in-process on (dims, rank, seed, reps, n_starts).
     """
     dims = tuple(int(p) for p in dims)
-    key = (dims, int(rank), _seed_key(seed), int(reps), int(n_starts))
+    key = (dims, int(rank), decomp._seed_tuple(seed), int(reps), int(n_starts))
     if key in _baseline_cache:
         return _baseline_cache[key]
     weights = []
     for rep in range(int(reps)):
-        rng = _derive(seed, 101, rep)
+        rng = decomp._rng(seed, 101, rep)
         x = BinaryTensor.dense((rng.random(dims) < 0.5).astype(float))
         cfg = decomp.FitConfig(
             rank=int(rank),
             n_starts=int(n_starts),
             init="spectral",
-            seed=_seed_tuple(seed, 102, rep),
+            seed=decomp._seed_tuple(seed, 102, rep),
         )
         try:
             report = decomp.multi_start_fit(x, cfg)
@@ -156,22 +156,6 @@ def calibrate_baseline(dims, rank, seed=0, reps=100, n_starts=10):
     value = float(np.mean(weights))
     _baseline_cache[key] = value
     return value
-
-
-def _seed_key(seed):
-    if isinstance(seed, (tuple, list)):
-        return tuple(int(s) for s in seed)
-    return int(seed)
-
-
-def _seed_tuple(seed, *key):
-    if isinstance(seed, (tuple, list)):
-        return (*tuple(int(s) for s in seed), *key)
-    return (int(seed), *key)
-
-
-def _derive(seed, *key):
-    return np.random.default_rng(_seed_tuple(seed, *key))
 
 
 def gen_dataset(cfg, baseline_weight=None, baseline_seed=0):
@@ -190,7 +174,7 @@ def gen_dataset(cfg, baseline_weight=None, baseline_seed=0):
     db = float(baseline_weight)
     if db <= 0:
         raise ValueError("baseline weight must be positive")
-    rng = _derive(cfg.seed, 7)
+    rng = decomp._rng(cfg.seed, 7)
     u_mat, v_mat, w_mat = gen_sparse_factors(cfg, rng)
     d = np.asarray(cfg.snr, dtype=float) * db
     theta = ops.cp_reconstruct(cfg.mu, d, u_mat, v_mat, w_mat)
@@ -210,7 +194,7 @@ def drop_uniform(x, frac, seed=0):
     """
     if not 0.0 < frac < 1.0:
         raise ValueError("frac must lie strictly between 0 and 1")
-    rng = _derive(seed, 11)
+    rng = decomp._rng(seed, 11)
     observed = np.flatnonzero(x.mask.ravel())
     k = int(round(frac * observed.size))
     if k < 1 or k >= observed.size:

@@ -77,6 +77,9 @@ def test_read_tensor_error_paths(tmp_path):
         fileio.read_tensor(written("dims 2 2 2\n1 1 1 1\n1 1 1 0\n"))
     with pytest.raises(ValueError, match="other than 0/1"):
         fileio.read_binary_tensor(written("dims 2 2 2\n1 1 1 0.5\n"))
+    for token in ("nan", "inf", "-inf"):
+        with pytest.raises(ValueError, match=f":3: non-finite value '{token}'"):
+            fileio.read_tensor(written(f"dims 1 1 2\n1 1 1 0.5\n1 1 2 {token}\n"))
 
 
 # ------------------------------------------------------------ model files

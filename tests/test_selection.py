@@ -156,10 +156,10 @@ def test_cross_validate_single_cell_matches_manual_fold_loop():
     table = cross_validate(x, cfg, grid, method="tp")
     (row,) = table.rows
     assert row.valid
-    from logitcp.selection import _fold_seed  # same folds as the sweep
+    from logitcp.decomp import _seed_tuple  # same folds as the sweep
     from logitcp.likelihood import neg_loglik
 
-    folds = cv_split(x, 3, seed=_fold_seed(12))
+    folds = cv_split(x, 3, seed=_seed_tuple(12))
     scores = []
     for train, test in folds:
         xtr = BinaryTensor(np.where(train, x.values, 0.0), train)
@@ -203,6 +203,57 @@ def test_select_model_two_stage_with_ratios():
     assert sum(r.chosen for r in table.rows) == 1
     with pytest.raises(ValueError):
         select_model(x, cfg, SelectionGrid(ranks=(1,), criterion="aic"), method="ttp")
+    repeated = SelectionGrid(ranks=(2, 1, 2), ratios=(0.6, 1.0, 0.6), criterion="aic")
+    assert (repeated.ranks, repeated.ratios) == ((2, 1), (0.6, 1.0))
+
+
+def sparse_signal(seed):
+    rng = np.random.default_rng(seed)
+    u = np.zeros(12)
+    u[:3] = unit(rng.standard_normal(3))
+    v = np.zeros(6)
+    v[:2] = unit(rng.standard_normal(2))
+    w = unit(rng.standard_normal(4))
+    return bernoulli(20.0 * np.einsum("i,j,k->ijk", u, v, w), seed=seed + 1)
+
+
+@pytest.mark.parametrize("criterion", ["aic", "cv"])
+def test_select_model_rows_equal_full_grid_cells(criterion):
+    x = sparse_signal(19)
+    cfg = FitConfig(rank=1, n_starts=4, seed=20)
+    grid = SelectionGrid(ranks=(1, 2, 3), ratios=(0.4, 0.7, 1.0), criterion=criterion, cv_folds=3)
+    rank, ratio, table = select_model(x, cfg, grid, method="ttp")
+    if criterion == "cv":
+        full = cross_validate(x, cfg, grid, method="ttp")
+    else:
+        full = ic_sweep(x, cfg, grid, method="ttp", criterion=criterion)
+    cells = {(r.rank, r.ratio): r for r in full.rows}
+    # the other ratios at the largest rank in grid order, then every rank
+    # at the chosen ratio
+    expected = [(3, q) for q in grid.ratios if q != ratio] + [(r, ratio) for r in grid.ranks]
+    assert [(r.rank, r.ratio) for r in table.rows] == expected
+    for row in table.rows:
+        cell = cells[(row.rank, row.ratio)]
+        got = (row.score, row.df, row.neg_loglik, row.valid, row.note)
+        assert got == (cell.score, cell.df, cell.neg_loglik, cell.valid, cell.note)
+        assert row.chosen == ((row.rank, row.ratio) == (rank, ratio))
+    assert sum(r.chosen for r in table.rows) == 1
+
+
+def test_sweeps_mark_a_ratio_with_empty_support_invalid():
+    x = sparse_signal(21)
+    cfg = FitConfig(rank=1, n_starts=3, seed=22)
+    grid = SelectionGrid(ranks=(1, 2), ratios=(0.01, 0.6), criterion="aic", cv_folds=3)
+    for table in (
+        ic_sweep(x, cfg, grid, method="ttp", criterion="aic"),
+        cross_validate(x, cfg, grid, method="ttp"),
+    ):
+        assert [(r.rank, r.ratio) for r in table.rows] == [(1, 0.01), (2, 0.01), (1, 0.6), (2, 0.6)]
+        for row in table.rows[:2]:  # s_from_ratio gives 0 entries per mode
+            assert not row.valid and math.isnan(row.score)
+            assert row.note.startswith("failed:")
+        for row in table.rows[2:]:
+            assert row.valid and np.isfinite(row.score) and row.note == ""
 
 
 def test_score_table_best_tie_rules():
