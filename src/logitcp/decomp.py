@@ -21,9 +21,10 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+import scipy.linalg
 
 from . import ops
-from .likelihood import LogitModel, neg_loglik, sigmoid, working_tensor
+from .likelihood import LogitModel, loss_and_working, neg_loglik, sigmoid
 
 __all__ = [
     "DegenerateDirectionError",
@@ -215,12 +216,15 @@ def truncate_top(v, s):
     return out
 
 
-def l1_project(g, c, tol=1e-10, max_iters=60):
+def l1_project(g, c):
     """Unit vector Normalize(S(g, lam)) with l1 norm capped at c.
 
     lam is the smallest nonnegative threshold making the normalized result
-    feasible: 0 when ||g/||g||_2||_1 <= c already, otherwise the bisection
-    solution of ||Normalize(S(g, lam))||_1 = c on [0, max|g|].
+    feasible: 0 when ||g/||g||_2||_1 <= c already, otherwise the exact root
+    of ||Normalize(S(g, lam))||_1 = c. That ratio is nonincreasing in lam;
+    with the magnitudes sorted, a_1 >= a_2 >= ..., it is known in closed
+    form at each breakpoint lam = a_(k+1), and between breakpoints (k
+    entries active) the equation is a quadratic in lam.
     """
     g = np.asarray(g, dtype=float)
     if c < 1.0:
@@ -231,31 +235,33 @@ def l1_project(g, c, tol=1e-10, max_iters=60):
     u0 = g / nrm
     if np.abs(u0).sum() <= c:
         return u0
-    lo, hi = 0.0, float(np.abs(g).max())
-    best = None
-    for _ in range(max_iters):
-        mid = 0.5 * (lo + hi)
-        shrunk = soft_threshold(g, mid)
-        n = np.linalg.norm(shrunk)
-        if n == 0.0:
-            hi = mid
-            continue
-        candidate = shrunk / n
-        if np.abs(candidate).sum() > c:
-            lo = mid
-        else:
-            hi = mid
-            best = candidate
-        if hi - lo < tol:
-            break
-    if best is None:
-        # ties at max|g| can make the equation unattainable (the l1 norm
-        # jumps from above c to undefined); fall back to a single spike
+    a = -np.sort(-np.abs(g))
+    c2 = c * c
+    if np.count_nonzero(a == a[0]) > c2:
+        # m entries tied at max|g| keep the ratio at sqrt(m) or above for
+        # every lam below max|g|, so the budget is unattainable; fall back to
+        # a single spike
         out = np.zeros_like(g)
         j = int(np.argmax(np.abs(g)))
         out[j] = math.copysign(1.0, g[j])
         return out
-    return best
+    k = np.arange(1.0, a.size + 1.0)
+    s1 = np.cumsum(a)  # l1 and squared l2 norms of the k largest magnitudes
+    s2 = np.cumsum(a * a)
+    nxt = np.append(a[1:], 0.0)
+    # ratio^2 >= c^2 at lam = a_(k+1), over the segments of positive length
+    l1 = s1 - k * nxt
+    l2sq = s2 - 2.0 * nxt * s1 + k * nxt * nxt
+    crossed = (a > nxt) & (l1 * l1 >= c2 * l2sq)
+    j = int(np.argmax(crossed))
+    kj, s1j, s2j = k[j], s1[j], s2[j]
+    if kj > c2:
+        lam = (s1j - c * math.sqrt(max(kj * s2j - s1j * s1j, 0.0) / (kj - c2))) / kj
+        lam = min(max(lam, nxt[j]), a[j])
+    else:  # the k active entries are equal and c = sqrt(k): any lam on the segment
+        lam = nxt[j]
+    shrunk = soft_threshold(g, lam)
+    return shrunk / np.linalg.norm(shrunk)
 
 
 # ------------------------------------------------------------ power steps
@@ -331,14 +337,14 @@ def final_offset(x, theta_c=None, tol=1e-8, max_iters=200):
         return hi
     mu = 0.0
     for _ in range(max_iters):
-        g = grad(mu)
+        p = sigmoid(mu + tc)
+        g = float(np.sum(xv - p))
         if abs(g) < tol:
             return mu
         if g > 0:
             lo = mu
         else:
             hi = mu
-        p = sigmoid(mu + tc)
         curve = float(np.sum(p * (1.0 - p)))
         if curve > 0:
             step = mu + g / curve
@@ -399,37 +405,40 @@ def _columns(f):
     return f[:, None] if f.ndim == 1 else f
 
 
-def _mm_passes(x, cfg, mu, d, factors, theta, block_update):
+def _mm_passes(x, cfg, mu, d, factors, block_update):
     """Outer MM passes shared by every solver.
 
-    theta holds the logits of the start (mu, d, factors) and is reused in
-    place as the reconstruction buffer. Each pass rebuilds the working
-    tensor, takes the exact offset step, centers, lets
+    Starts from the logits of (mu, d, factors). Each pass takes the exact
+    offset step on the working tensor, centers, lets
     block_update(zc, factors) -> (d, factors) decrease the quadratic
-    surrogate, then reconstructs and scores. The loop stops when the loss
-    change falls below the absolute or relative tolerance, or when the
-    factor change falls below factor_tol scaled by the square root of the
-    number of components being updated.
+    surrogate, then reconstructs and scores the logits, building the next
+    pass's working tensor from the same exp(-|theta|). The loop stops when
+    the loss change falls below the absolute or relative tolerance, or when
+    the factor change falls below factor_tol scaled by the square root of
+    the number of components being updated.
 
     Returns (mu, d, factors, trace, n_outer, converged, reason); trace holds
     the negative log-likelihood at the start and after each pass.
     """
     scale = math.sqrt(np.size(d))
+    theta = ops.cp_reconstruct(mu, d, *map(_columns, factors))
     y = np.empty_like(theta)
-    nll_prev = neg_loglik(x, theta)
+    nll_prev = loss_and_working(x, theta, y)
     trace = [nll_prev]
     converged, reason = False, "maximum outer iterations reached"
     n_outer = 0
     while n_outer < cfg.max_outer_iters:
         n_outer += 1
-        working_tensor(x, theta, out=y)
         theta -= mu  # theta buffer now holds the centered logits
         mu = offset_update(y, theta)
         y -= mu  # y buffer now holds the centered working tensor
         old = factors
         d, factors = block_update(y, factors)
         ops.cp_reconstruct(mu, d, *map(_columns, factors), out=theta)
-        nll = neg_loglik(x, theta)
+        if n_outer < cfg.max_outer_iters:
+            nll = loss_and_working(x, theta, y)
+        else:  # no pass follows, so no working tensor is needed
+            nll = neg_loglik(x, theta)
         trace.append(nll)
         dn = abs(nll_prev - nll)
         if dn < cfg.outer_abs_tol:
@@ -480,7 +489,7 @@ def rank_one_mm_fit(x, cfg, init=None, mu0=None, rng=None):
     if rng is None:
         rng = _rng(cfg.seed, 9)
     if init is None:
-        u, v, w, d, mu_init = _init_power(x, cfg, s, rng, spectral=cfg.init == "spectral")
+        u, v, w, d, mu_init = _init_power(_base_tensor(x), cfg, s, rng, cfg.init == "spectral")
         if mu0 is None:
             mu0 = mu_init
     else:
@@ -518,10 +527,8 @@ def rank_one_mm_fit(x, cfg, init=None, mu0=None, rng=None):
             w, d = -w, -d
         return d, (u, v, w)
 
-    mu = float(mu0)
-    theta = ops.cp_reconstruct(mu, [d], u[:, None], v[:, None], w[:, None], out=np.empty(x.dims))
     mu, d, (u, v, w), trace, n_outer, converged, reason = _mm_passes(
-        x, cfg, mu, d, (u, v, w), theta, block_update
+        x, cfg, float(mu0), d, (u, v, w), block_update
     )
     return RankOneFit(
         mu=mu,
@@ -580,15 +587,15 @@ def _spectral_pair(q, s, rng):
     return u, v
 
 
-def _init_power(x, cfg, s, rng, spectral):
+def _init_power(base, cfg, s, rng, spectral):
     """Rank-one start (u, v, w, d, mu): u and v from the spectral pair, or
     Gaussian when spectral is False or the pair is degenerate; w and d then
-    solved from the centered sign tensor."""
-    q, mu = _base_tensor(x)
+    solved from the centered sign tensor. base is _base_tensor(x)."""
+    q, mu = base
     pair = _spectral_pair(q, s, rng) if spectral else None
     if pair is None:
-        u = rng.standard_normal(x.dims[0])
-        v = rng.standard_normal(x.dims[1])
+        u = rng.standard_normal(q.shape[0])
+        v = rng.standard_normal(q.shape[1])
         if s is not None:
             u = truncate_top(u, s[0])
             v = truncate_top(v, s[1])
@@ -600,7 +607,7 @@ def _init_power(x, cfg, s, rng, spectral):
         v = u.copy()
     wbar = ops.rank_one_contract(q, u=u, v=v)
     d = float(np.linalg.norm(wbar))
-    w = wbar / d if d > 0 else _random_unit(rng, x.dims[2])
+    w = wbar / d if d > 0 else _random_unit(rng, q.shape[2])
     return u, v, w, d, mu
 
 
@@ -608,7 +615,8 @@ def init_spectral(x, cfg, rng=None):
     """Data-driven rank-one start (u, v, w, d, mu): singular vectors of the
     centered sign tensor, with the last mode solved from the data."""
     _, s = _check_config(x, cfg)
-    return _init_power(x, cfg, s, _rng(cfg.seed, 9) if rng is None else rng, spectral=True)
+    rng = _rng(cfg.seed, 9) if rng is None else rng
+    return _init_power(_base_tensor(x), cfg, s, rng, spectral=True)
 
 
 def init_random(x, cfg, rng=None):
@@ -616,21 +624,25 @@ def init_random(x, cfg, rng=None):
     to the l0 pattern when one is configured), normalized, with the last
     mode solved from the data."""
     _, s = _check_config(x, cfg)
-    return _init_power(x, cfg, s, _rng(cfg.seed, 9) if rng is None else rng, spectral=False)
+    rng = _rng(cfg.seed, 9) if rng is None else rng
+    return _init_power(_base_tensor(x), cfg, s, rng, spectral=False)
 
 
 # -------------------------------------------------------------------- ALS
 
 
 def _leading_left_singular(m, r, rng):
+    # the top-r eigenpairs of m m^T: its eigenvalues are the squared
+    # singular values of m and its eigenvectors the left singular vectors
+    n = m.shape[0]
     try:
-        um, sv, _ = np.linalg.svd(m, full_matrices=False)
-    except np.linalg.LinAlgError:
-        um, sv = None, None
+        ev, um = scipy.linalg.eigh(m @ m.T, subset_by_index=(max(n - r, 0), n - 1))
+    except (np.linalg.LinAlgError, ValueError):
+        ev, um = None, None
     cols = []
     if um is not None:
-        for j in range(min(r, um.shape[1])):
-            if np.isfinite(sv[j]) and sv[j] > 0:
+        for j in range(um.shape[1] - 1, -1, -1):
+            if np.isfinite(ev[j]) and ev[j] > 0:
                 cols.append(um[:, j])
     while len(cols) < r:
         cols.append(_random_unit(rng, m.shape[0]))
@@ -690,27 +702,30 @@ def als_fit(x, cfg):
     inner_tol = math.sqrt(r) * cfg.inner_tol
 
     def block_update(zc, factors):
-        z1, z2, z3 = (ops.matricize(zc, mode) for mode in (1, 2, 3))
+        p1, p2, p3 = zc.shape
+        z1 = zc.reshape(p1, p2 * p3)  # columns ordered (j, k), k fastest
         u_mat, v_mat, w_mat = factors
         for _t in range(cfg.max_inner_iters):
             old = (u_mat, v_mat, w_mat)
             gram = (w_mat.T @ w_mat) * (v_mat.T @ v_mat)
-            a = z1 @ ops.khatri_rao(w_mat, v_mat) @ np.linalg.pinv(gram, rcond=1e-10)
+            a = z1 @ ops.khatri_rao(v_mat, w_mat) @ np.linalg.pinv(gram, rcond=1e-10)
             u_mat = _normalize_cols_inplace(a, rng)
+            # zu[r] is zc contracted with u_r along mode 1; modes 2 and 3
+            # contract it further with w_r and v_r
+            zu = (u_mat.T @ z1).reshape(r, p2, p3)
             gram = (w_mat.T @ w_mat) * (u_mat.T @ u_mat)
-            b = z2 @ ops.khatri_rao(w_mat, u_mat) @ np.linalg.pinv(gram, rcond=1e-10)
+            b = (zu @ w_mat.T[:, :, None])[:, :, 0].T @ np.linalg.pinv(gram, rcond=1e-10)
             v_mat = _normalize_cols_inplace(b, rng)
             gram = (v_mat.T @ v_mat) * (u_mat.T @ u_mat)
-            cm = z3 @ ops.khatri_rao(v_mat, u_mat) @ np.linalg.pinv(gram, rcond=1e-10)
+            cm = (v_mat.T[:, None, :] @ zu)[:, 0, :].T @ np.linalg.pinv(gram, rcond=1e-10)
             d = np.linalg.norm(cm, axis=0)
             w_mat = _normalize_cols_inplace(cm, rng)
             if _factor_change((u_mat, v_mat, w_mat), old) <= inner_tol:
                 break
         return d, (u_mat, v_mat, w_mat)
 
-    theta = ops.cp_reconstruct(mu, d, u_mat, v_mat, w_mat)
     mu, d, (u_mat, v_mat, w_mat), trace, _, converged, reason = _mm_passes(
-        x, cfg, mu, d, (u_mat, v_mat, w_mat), theta, block_update
+        x, cfg, mu, d, (u_mat, v_mat, w_mat), block_update
     )
 
     order = np.argsort(-d, kind="stable")
@@ -746,11 +761,13 @@ def _tuple_distance(a, b):
 
 
 def _run_pool(x, cfg, s, count, stream):
+    base = _base_tensor(x)
+    spectral = cfg.init == "spectral" and stream == 1
+
     def one(tau):
         rng = _rng(cfg.seed, stream, tau)
         try:
-            spectral = cfg.init == "spectral" and stream == 1
-            u, v, w, d, mu0 = _init_power(x, cfg, s, rng, spectral)
+            u, v, w, d, mu0 = _init_power(base, cfg, s, rng, spectral)
             return rank_one_mm_fit(x, cfg, init=(u, v, w, d), mu0=mu0, rng=rng)
         except DegenerateDirectionError:
             return None

@@ -21,6 +21,7 @@ __all__ = [
     "neg_loglik",
     "deviance",
     "working_tensor",
+    "loss_and_working",
     "majorizer_gap",
     "predict_probs",
     "impute",
@@ -37,8 +38,10 @@ def sigmoid(t, out=None):
 
 
 def softplus(t):
-    """log(1 + exp(t)) without overflow for large |t|."""
-    return np.logaddexp(0.0, t)
+    """log(1 + exp(t)) without overflow for large |t|, as
+    max(t, 0) + log1p(exp(-|t|))."""
+    with np.errstate(under="ignore"):  # exp(-|t|) < 1e-308 is 0 to double precision
+        return np.maximum(t, 0.0) + np.log1p(np.exp(-np.abs(t)))
 
 
 @dataclass
@@ -162,11 +165,7 @@ def neg_loglik(x, model):
     `model` may be a LogitModel or a raw logit tensor. Computed as
     sum softplus(theta) - <x, theta>, the saturated model scoring 0.
     """
-    theta = _theta_of(model, x.dims)
-    if x.fully_observed:
-        return float(np.sum(softplus(theta)) - ops.inner(x.values, theta))
-    th = theta[x.mask]
-    return float(np.sum(softplus(th)) - x.values[x.mask] @ th)
+    return loss_and_working(x, _theta_of(model, x.dims))
 
 
 def deviance(x, model):
@@ -183,13 +182,48 @@ def working_tensor(x, theta, out=None):
     theta = _theta_of(theta, x.dims)
     if out is None:
         out = np.empty_like(theta)
-    sigmoid(theta, out=out)
-    np.subtract(x.values, out, out=out)
-    out *= 4.0
-    out += theta
-    if not x.fully_observed:
-        np.copyto(out, theta, where=~x.mask)
+    loss_and_working(x, theta, out)
     return out
+
+
+def loss_and_working(x, theta, out=None):
+    """Negative log-likelihood of the logit tensor theta over the observed
+    cells; with `out`, also the working tensor around theta written into it
+    (see working_tensor).
+
+    Both come from one e = exp(-|theta|): the loss is
+    sum max(theta, 0) + log1p(e) - <x, theta>, and the working tensor uses
+    sigmoid(theta) = 0.5 + copysign(0.5 - e/(1 + e), theta).
+    """
+    theta = _theta_of(theta, x.dims)
+    e = np.abs(theta, out=out)
+    np.negative(e, out=e)
+    with np.errstate(under="ignore"):  # exp(-|theta|) < 1e-308 is 0 to double precision
+        np.exp(e, out=e)
+    # without `out` the loss is all that is asked for, so it may consume e
+    tmp = e if out is None else np.empty_like(e)
+    obs = None if x.fully_observed else x.mask
+
+    def observed_sum(a):
+        return a.sum() if obs is None else a.sum(where=obs)
+
+    np.log1p(e, out=tmp)
+    nll = observed_sum(tmp)
+    np.maximum(theta, 0.0, out=tmp)
+    nll += observed_sum(tmp) - ops.inner(x.values, theta)
+    if out is None:
+        return float(nll)
+    np.add(e, 1.0, out=tmp)
+    np.divide(e, tmp, out=e)  # sigmoid(-|theta|)
+    np.subtract(0.5, e, out=e)
+    np.copysign(e, theta, out=e)
+    e += 0.5  # sigmoid(theta)
+    np.subtract(x.values, e, out=e)
+    e *= 4.0
+    if obs is not None:
+        e *= obs
+    e += theta
+    return float(nll)
 
 
 def majorizer_gap(x, theta, anchor):

@@ -64,31 +64,38 @@ def fold(m, mode, dims):
     return np.moveaxis(t, 0, mode - 1)
 
 
+def _mode_vector(vec, t, mode):
+    if vec is None:
+        return None
+    vec = np.asarray(vec, dtype=float)
+    if vec.shape != (t.shape[mode - 1],):
+        raise ValueError(
+            f"vector for mode {mode} has shape {vec.shape}, extent is {t.shape[mode - 1]}"
+        )
+    return vec
+
+
 def rank_one_contract(t, u=None, v=None, w=None):
     """Contract a 3-way tensor with vectors on any subset of its modes.
 
     One vector leaves a matrix over the other two modes, two leave the fiber
-    along the remaining mode, and all three give a scalar.
+    along the remaining mode, and all three give a scalar. Every case is a
+    matrix product over a reshaped view of t, so t is read once.
     """
     t = _as_tensor3(t)
-    lhs = ["ijk"]
-    out = ""
-    operands = [t]
-    for axis, vec, mode in zip("ijk", (u, v, w), (1, 2, 3)):
-        if vec is None:
-            out += axis
-            continue
-        vec = np.asarray(vec, dtype=float)
-        if vec.shape != (t.shape[mode - 1],):
-            raise ValueError(
-                f"vector for mode {mode} has shape {vec.shape}, extent is {t.shape[mode - 1]}"
-            )
-        lhs.append(axis)
-        operands.append(vec)
-    result = np.einsum(",".join(lhs) + "->" + out, *operands, optimize=True)
-    if out == "":
-        return float(result)
-    return result
+    u, v, w = (_mode_vector(vec, t, mode) for mode, vec in ((1, u), (2, v), (3, w)))
+    p1, p2, p3 = t.shape
+    if u is None:
+        if v is None:
+            return t if w is None else (t.reshape(p1 * p2, p3) @ w).reshape(p1, p2)
+        if w is None:
+            return np.matmul(v, t)
+        return t.reshape(p1, p2 * p3) @ np.outer(v, w).ravel()
+    m = (u @ t.reshape(p1, p2 * p3)).reshape(p2, p3)
+    if v is None:
+        return m if w is None else m @ w
+    m = v @ m
+    return m if w is None else float(m @ w)
 
 
 def khatri_rao(a, b):
@@ -117,6 +124,8 @@ def hadamard(a, b, out=None):
 def cp_reconstruct(mu, d, U, V, W, out=None):
     """Dense logits mu + sum_r d_r u_r o v_r o w_r.
 
+    Computed as the (p1, p2*p3) product (U diag(d)) khatri_rao(V, W)^T; a
+    C-ordered `out` receives it directly, any other layout by one copy.
     Empty d (rank 0) gives the constant tensor mu.
     """
     d = np.asarray(d, dtype=float).reshape(-1)
@@ -129,7 +138,16 @@ def cp_reconstruct(mu, d, U, V, W, out=None):
             raise ValueError(
                 f"{name} has shape {f.shape}, expected ({name} rows, {r}) to match d"
             )
-    out = np.einsum("r,ir,jr,kr->ijk", d, U, V, W, out=out, optimize=True)
+    dims = (U.shape[0], V.shape[0], W.shape[0])
+    if out is None:
+        out = np.empty(dims)
+    elif out.shape != dims:
+        raise ValueError(f"out has shape {out.shape}, expected {dims}")
+    lhs, rhs = U * d, khatri_rao(V, W).T
+    if out.flags.c_contiguous:
+        np.matmul(lhs, rhs, out=out.reshape(dims[0], -1))
+    else:
+        out[...] = (lhs @ rhs).reshape(dims)
     out += mu
     return out
 

@@ -346,7 +346,7 @@ def _select_by_deviance(x, cfg, grid, method, sweep_ratio):
                     score=float(-ladder.cumulative[r - 1]),
                     df=model_df(report.model),
                     neg_loglik=float(ladder.null_deviance * (1 - ladder.cumulative[r - 1]) / 2),
-                    note=f"marginal={ladder.marginal[r - 1]!r}",
+                    note=f"marginal={float(ladder.marginal[r - 1])!r}",
                 )
             )
         else:

@@ -112,6 +112,78 @@ def test_l1_project_matches_lambda_grid_oracle():
     assert np.linalg.norm(got) == pytest.approx(1.0, abs=1e-10)
 
 
+def _bisection_l1_project(g, c, steps=200):
+    # reference: bisect lam on [0, max|g|] for ||Normalize(S(g, lam))||_1 = c,
+    # keeping the feasible end; a single spike when no lam is feasible
+    lo, hi = 0.0, float(np.abs(g).max())
+    best = None
+    for _ in range(steps):
+        mid = 0.5 * (lo + hi)
+        shrunk = np.sign(g) * np.maximum(np.abs(g) - mid, 0.0)
+        n = np.linalg.norm(shrunk)
+        if n == 0.0:
+            hi = mid
+        elif np.abs(shrunk).sum() / n > c:
+            lo = mid
+        else:
+            hi, best = mid, shrunk / n
+    if best is None:
+        best = np.zeros_like(g)
+        j = int(np.argmax(np.abs(g)))
+        best[j] = np.sign(g[j])
+    return best
+
+
+def _random_directions(rng, count):
+    for case in range(count):
+        p = int(rng.integers(2, 1201))
+        g = rng.standard_normal(p)
+        if case % 4 == 1:
+            g[rng.random(p) < 0.5] = 0.0  # many exact zeros
+        elif case % 4 == 2:
+            g = np.round(g, 1)  # many ties, including at the top
+        elif case % 4 == 3:
+            g = g ** 3  # heavy tails
+        if not g.any():
+            g[0] = 1.0
+        c = 1.0 + rng.random() * (np.sqrt(p) - 1.0)
+        yield g, c
+
+
+def test_l1_project_matches_bisection_reference():
+    rng = np.random.default_rng(12)
+    for g, c in _random_directions(rng, 300):
+        got = l1_project(g, c)
+        want = _bisection_l1_project(g, c)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-9)
+
+
+def test_l1_project_meets_a_binding_budget_exactly():
+    rng = np.random.default_rng(13)
+    binding = 0
+    for g, c in _random_directions(rng, 300):
+        u0 = g / np.linalg.norm(g)
+        top = np.abs(g) == np.abs(g).max()
+        if np.abs(u0).sum() <= c or top.sum() > c * c:
+            continue  # feasible input, or the tie fallback
+        binding += 1
+        got = l1_project(g, c)
+        assert np.abs(got).sum() == pytest.approx(c, rel=0, abs=1e-12)
+        assert np.linalg.norm(got) == pytest.approx(1.0, rel=0, abs=1e-12)
+    assert binding > 150
+
+
+def test_l1_project_feasible_input_and_tie_fallback():
+    g = np.array([3.0, -1.0, 0.5, 2.0])
+    np.testing.assert_array_equal(l1_project(g, 1.9), g / np.linalg.norm(g))
+    # two entries tied at max|g| hold the ratio at sqrt(2) or above, so a
+    # budget below sqrt(2) falls back to a spike at the first of them
+    np.testing.assert_array_equal(l1_project(np.array([1.0, -4.0, 4.0, 2.0]), 1.3), [0, -1, 0, 0])
+    # at exactly sqrt(2) the tied pair itself is the answer
+    got = l1_project(np.array([1.0, -4.0, 4.0, 2.0]), np.sqrt(2.0))
+    np.testing.assert_allclose(got, [0.0, -np.sqrt(0.5), np.sqrt(0.5), 0.0], atol=1e-15)
+
+
 def test_l1_project_rejects_zero_vector():
     with pytest.raises(DegenerateDirectionError):
         l1_project(np.zeros(3), 1.5)

@@ -272,6 +272,22 @@ def test_cli_select_with_ratios_two_stage(sim_file, tmp_path, capsys):
     assert len(lines) == 4  # stage 1 leftover + two stage-2 rows
 
 
+def test_cli_select_deviance_notes_are_plain_floats(sim_file, tmp_path, capsys):
+    out = tmp_path / "scores.csv"
+    rc = run_cli("select", "--data", sim_file, "--ranks", "1,2",
+                 "--criterion", "deviance", "--starts", "4", "--seed", "0",
+                 "--out", out)
+    assert rc == 0
+    capsys.readouterr()
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    notes = [row[7] for row in rows if row[5] == "1"]
+    assert notes
+    for note in notes:
+        key, value = note.split("=")
+        assert key == "marginal"
+        float(value)  # a bare number, not a numpy repr
+
+
 def test_cli_complete_with_model_and_holdout(sim_file, tmp_path, capsys):
     x = fileio.read_binary_tensor(sim_file)
     kept, heldout = simulate.drop_uniform(x, 0.15, seed=2)

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import expit
 
 from logitcp import ops
 from logitcp.likelihood import (
@@ -11,6 +12,7 @@ from logitcp.likelihood import (
     LogitModel,
     deviance,
     impute,
+    loss_and_working,
     majorizer_gap,
     neg_loglik,
     predict_probs,
@@ -116,6 +118,41 @@ def test_working_tensor_out_buffer():
     theta = np.zeros((2, 2, 2))
     buf = np.empty_like(theta)
     assert working_tensor(x, theta, out=buf) is buf
+
+
+def test_loss_and_working_matches_references_dense_and_masked():
+    rng = np.random.default_rng(11)
+    shape = (6, 5, 4)
+    # moderate logits plus cells at |theta| = 30, 745 and 800, where
+    # exp(-|theta|) is tiny, subnormal or flushes to zero
+    theta = rng.standard_normal(shape) * 4.0
+    theta.reshape(-1)[:6] = [800.0, -800.0, 745.0, -745.0, 30.0, -30.0]
+    vals = (rng.random(shape) < 0.5).astype(float)
+    masks = (np.ones(shape, dtype=bool), rng.random(shape) < 0.8)
+    for mask in masks:
+        x = BinaryTensor(np.where(mask, vals, 0.0), mask)
+        # references from independent formulas, outside the strict error state
+        want_nll = float(np.sum(np.logaddexp(0.0, theta[mask])) - vals[mask] @ theta[mask])
+        want_z = np.where(mask, theta + 4.0 * (x.values - expit(theta)), theta)
+        out = np.empty(shape)
+        with np.errstate(all="raise"):
+            nll = loss_and_working(x, theta, out)
+            loss_only = loss_and_working(x, theta)
+            plain_nll = neg_loglik(x, theta)
+            plain_z = working_tensor(x, theta)
+        assert nll == pytest.approx(want_nll, rel=1e-12)
+        assert loss_only == nll
+        assert plain_nll == pytest.approx(nll, rel=1e-12)
+        np.testing.assert_allclose(out, want_z, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(plain_z, out, rtol=0, atol=1e-12)
+        # unobserved cells carry theta exactly
+        assert np.array_equal(out[~mask], theta[~mask])
+
+
+def test_loss_and_working_rejects_shape_mismatch():
+    x = dense(np.ones((2, 2, 2)))
+    with pytest.raises(ValueError):
+        loss_and_working(x, np.zeros((2, 2, 3)))
 
 
 def test_majorizer_gap_nonnegative_on_grid():

@@ -1,5 +1,7 @@
 """Dense tensor kernels: matricization, Khatri-Rao, contractions."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -85,6 +87,49 @@ def test_rank_one_contract_matches_triple_loop():
     np.testing.assert_allclose(got_u, want_u, atol=1e-10)
 
 
+def _contract_oracle(t, vecs):
+    # sum over the modes that have a vector, by explicit loops
+    p = t.shape
+    open_modes = [m for m in range(3) if vecs[m] is None]
+    out = np.zeros([p[m] for m in open_modes])
+    for idx in itertools.product(*(range(n) for n in p)):
+        weight = 1.0
+        for m in range(3):
+            if vecs[m] is not None:
+                weight *= vecs[m][idx[m]]
+        out[tuple(idx[m] for m in open_modes)] += weight * t[idx]
+    return out
+
+
+def test_rank_one_contract_all_subsets_and_layouts():
+    rng = np.random.default_rng(9)
+    base = rng.standard_normal((4, 3, 5))
+    layouts = {
+        "C": np.ascontiguousarray(base),
+        "F": np.asfortranarray(base),
+        # views that are neither C- nor F-contiguous
+        "transposed": np.ascontiguousarray(base.transpose(1, 0, 2)).transpose(1, 0, 2),
+        "strided": np.repeat(base, 2, axis=1)[:, ::2, :],
+    }
+    vecs = [rng.standard_normal(n) for n in base.shape]
+    for (name, t), given in itertools.product(layouts.items(), itertools.product((0, 1), repeat=3)):
+        args = [v if g else None for v, g in zip(vecs, given)]
+        got = ops.rank_one_contract(t, *args)
+        want = _contract_oracle(base, args)
+        if all(given):
+            assert isinstance(got, float)
+            assert got == pytest.approx(float(want), abs=1e-12)
+        else:
+            assert got.shape == want.shape, (name, given)
+            np.testing.assert_allclose(got, want, atol=1e-12, err_msg=f"{name} {given}")
+
+
+def test_rank_one_contract_rejects_wrong_vector_length():
+    t = np.zeros((2, 3, 4))
+    with pytest.raises(ValueError):
+        ops.rank_one_contract(t, v=np.ones(2))
+
+
 def test_khatri_rao_hand_example():
     a = np.array([[1.0, 2.0], [3.0, 4.0]])
     b = np.array([[5.0, 6.0], [7.0, 8.0]])
@@ -136,6 +181,30 @@ def test_cp_reconstruct_out_buffer_is_used():
     buf = np.empty((3, 4, 5))
     out = ops.cp_reconstruct(0.0, d, U, V, W, out=buf)
     assert out is buf
+
+
+def test_cp_reconstruct_fills_any_out_layout():
+    rng = np.random.default_rng(10)
+    d = np.array([2.0, 0.5])
+    U = rng.standard_normal((3, 2))
+    V = rng.standard_normal((4, 2))
+    W = rng.standard_normal((5, 2))
+    want = ops.cp_reconstruct(-0.25, d, U, V, W)
+    assert want.flags.c_contiguous
+    for buf in (np.empty((3, 4, 5)), np.empty((3, 4, 5), order="F"),
+                np.empty((4, 3, 5)).transpose(1, 0, 2)):
+        got = ops.cp_reconstruct(-0.25, d, U, V, W, out=buf)
+        assert got is buf
+        np.testing.assert_allclose(buf, want, atol=1e-12)
+    with pytest.raises(ValueError):
+        ops.cp_reconstruct(0.0, d, U, V, W, out=np.empty((3, 4, 4)))
+
+
+def test_cp_reconstruct_rank_zero_into_out():
+    for order in ("C", "F"):
+        buf = np.full((3, 4, 5), np.nan, order=order)
+        ops.cp_reconstruct(1.5, [], np.zeros((3, 0)), np.zeros((4, 0)), np.zeros((5, 0)), out=buf)
+        np.testing.assert_array_equal(buf, np.full((3, 4, 5), 1.5))
 
 
 def test_unfolding_pairs_with_khatri_rao():
