@@ -632,18 +632,30 @@ def init_random(x, cfg, rng=None):
 
 
 def _leading_left_singular(m, r, rng):
-    # the top-r eigenpairs of m m^T: its eigenvalues are the squared
-    # singular values of m and its eigenvectors the left singular vectors
-    n = m.shape[0]
+    # the top-r eigenpairs of the smaller Gram matrix: its eigenvalues are
+    # the squared singular values of m, and its eigenvectors the left
+    # singular vectors (m m^T) or the right ones (m^T m), which m maps to
+    # the left ones
+    n, k = m.shape
+    wide = n <= k
+    gram = m @ m.T if wide else m.T @ m
+    size = gram.shape[0]
     try:
-        ev, um = scipy.linalg.eigh(m @ m.T, subset_by_index=(max(n - r, 0), n - 1))
+        ev, vecs = scipy.linalg.eigh(gram, subset_by_index=(max(size - r, 0), size - 1))
     except (np.linalg.LinAlgError, ValueError):
-        ev, um = None, None
+        ev, vecs = None, None
     cols = []
-    if um is not None:
-        for j in range(um.shape[1] - 1, -1, -1):
-            if np.isfinite(ev[j]) and ev[j] > 0:
-                cols.append(um[:, j])
+    if vecs is not None:
+        for j in range(vecs.shape[1] - 1, -1, -1):
+            if not (np.isfinite(ev[j]) and ev[j] > 0):
+                continue
+            if wide:
+                cols.append(vecs[:, j])
+                continue
+            col = m @ vecs[:, j]
+            nrm = np.linalg.norm(col)
+            if nrm > 0 and np.isfinite(nrm):
+                cols.append(col / nrm)
     while len(cols) < r:
         cols.append(_random_unit(rng, m.shape[0]))
     return np.column_stack(cols)

@@ -9,6 +9,7 @@ from logitcp import ops
 from logitcp.decomp import (
     DegenerateDirectionError,
     FitConfig,
+    _leading_left_singular,
     als_fit,
     c_from_ratio,
     final_offset,
@@ -481,6 +482,28 @@ def test_als_fit_runs_and_descends():
         als_fit(x, FitConfig(rank=1, penalty="l1", c=c_from_ratio(x.dims, 0.9)))
     with pytest.raises(ValueError):
         als_fit(x, FitConfig(rank=1, symmetric_uv=True))
+
+
+@pytest.mark.parametrize("mode", [1, 2, 3])
+def test_als_spectral_start_matches_svd_subspace(mode):
+    # mode 1 of a 60x4x3 tensor is a tall unfolding (60x12), modes 2 and 3
+    # are wide; both sides must give the leading left singular subspace
+    rng = np.random.default_rng(21)
+    m = ops.matricize(rng.standard_normal((60, 4, 3)), mode)
+    r = 3
+    cols = _leading_left_singular(m, r, np.random.default_rng(0))
+    ref = np.linalg.svd(m, full_matrices=False)[0][:, :r]
+    assert cols.shape == (m.shape[0], r)
+    np.testing.assert_allclose(cols.T @ cols, np.eye(r), atol=1e-10)
+    np.testing.assert_allclose(cols @ cols.T, ref @ ref.T, atol=1e-10)
+    np.testing.assert_allclose(np.abs(np.sum(cols * ref, axis=0)), 1.0, atol=1e-10)
+
+
+@pytest.mark.parametrize("shape", [(40, 6), (6, 40)])
+def test_als_spectral_start_falls_back_to_random_columns(shape):
+    cols = _leading_left_singular(np.zeros(shape), 2, np.random.default_rng(0))
+    assert cols.shape == (shape[0], 2)
+    np.testing.assert_allclose(np.linalg.norm(cols, axis=0), 1.0)
 
 
 TINY = 1e-300
