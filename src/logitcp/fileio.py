@@ -11,8 +11,14 @@ the offset, weights, factor matrices, and metadata lines; floats are written
 with shortest round-trip precision so read(write(m)) is lossless and
 write(read(f)) is byte-identical. All writers go through a temp file and
 atomic rename.
+
+Tensor files are parsed and formatted with numpy a chunk of records at a
+time. A file that the vectorised checks do not pass is read again line by
+line, which either names its first bad line or, for tokens only Python's
+int() and float() accept, reads it.
 """
 
+import itertools
 import math
 import os
 import tempfile
@@ -35,12 +41,14 @@ MODEL_MAGIC = "logitcp-model 1"
 
 
 def atomic_write_text(path, text):
-    """Write text to path via a temporary file and rename."""
+    """Write text to path via a temporary file and rename. `text` is a
+    string or an iterable of string chunks, written in order; if the
+    iterable raises, the temporary file is removed and path is untouched."""
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
     try:
         with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+            fh.writelines((text,) if isinstance(text, str) else text)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -52,40 +60,86 @@ def _fmt(v):
     return repr(float(v))
 
 
+# records per chunk when tensor files are parsed or formatted
+_CHUNK = 1 << 16
+_RECORD = np.dtype([("i", np.int64), ("j", np.int64), ("k", np.int64), ("v", np.float64)])
+
+
+def _byte_rows(strings):
+    """ASCII strings as a NUL-padded (n, width) uint8 matrix."""
+    table = np.array(strings, dtype="S")
+    return table.view(np.uint8).reshape(table.size, table.itemsize)
+
+
+def _value_rows(v, binary):
+    if not binary:
+        return _byte_rows([_fmt(x) for x in v.tolist()])
+    if not np.all(np.abs(v) < 2.0**63):  # also true for nan and inf
+        return _byte_rows([str(int(x)) for x in v.tolist()])  # raises as int() does
+    # astype truncates toward zero, as int() does
+    labels, which = np.unique(v.astype(np.int64), return_inverse=True)
+    return _byte_rows([str(n) for n in labels.tolist()])[which]
+
+
+def _tensor_chunks(values, mask, binary):
+    """The text of a tensor file, one chunk of records at a time."""
+    p1, p2, p3 = values.shape
+    yield f"dims {p1} {p2} {p3}\n"
+    tables = [_byte_rows([f"{n} " for n in range(1, p + 1)]) for p in values.shape]
+    # transposing makes the C-order scan run with i fastest
+    cells = np.flatnonzero(mask.T)
+    for start in range(0, cells.size, _CHUNK):
+        k, j, i = np.unravel_index(cells[start:start + _CHUNK], (p3, p2, p1))
+        newline = np.full((i.size, 1), ord("\n"), dtype=np.uint8)
+        rows = np.hstack([tables[0][i], tables[1][j], tables[2][k],
+                          _value_rows(values[i, j, k], binary), newline])
+        yield rows[rows != 0].tobytes().decode("ascii")
+
+
 def write_tensor(path, values, mask=None, binary=True):
     """Write a tensor file; cells where mask is False are omitted."""
     values = np.asarray(values, dtype=float)
     if values.ndim != 3:
         raise ValueError(f"tensor must be 3-way, got shape {values.shape}")
-    if mask is None:
-        mask = np.ones(values.shape, dtype=bool)
-    p1, p2, p3 = values.shape
-    lines = [f"dims {p1} {p2} {p3}"]
-    for k in range(p3):
-        for j in range(p2):
-            for i in range(p1):
-                if not mask[i, j, k]:
-                    continue
-                v = values[i, j, k]
-                sv = str(int(v)) if binary else _fmt(v)
-                lines.append(f"{i + 1} {j + 1} {k + 1} {sv}")
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    mask = np.ones(values.shape, dtype=bool) if mask is None else np.asarray(mask)
+    if mask.shape != values.shape:
+        raise ValueError(f"mask shape {mask.shape} does not match tensor shape {values.shape}")
+    atomic_write_text(path, _tensor_chunks(values, mask, binary))
 
 
-def read_tensor(path):
-    """Read a tensor file; returns (values, mask). Values must be finite."""
+def _scatter_records(fh, dims, values, mask):
+    """Parse the records after the header in chunks and scatter them into
+    the flat arrays. Returns False, leaving the arrays partly filled, on
+    anything the vectorised checks cannot pass: a line numpy's parser
+    rejects, a non-finite value, an index out of range or a duplicate."""
+    n_records = 0
+    try:
+        while lines := list(itertools.islice(fh, _CHUNK)):
+            if "".join(lines).isspace():
+                continue  # numpy warns on a chunk with no data
+            rec = np.loadtxt(lines, dtype=_RECORD, comments=None, ndmin=1)
+            idx = (rec["i"], rec["j"], rec["k"])
+            if not np.isfinite(rec["v"]).all() or not all(
+                ((a >= 1) & (a <= p)).all() for a, p in zip(idx, dims)
+            ):
+                return False
+            flat = np.ravel_multi_index(tuple(a - 1 for a in idx), dims)
+            values[flat] = rec["v"]
+            mask[flat] = True
+            n_records += rec.size
+    except ValueError:  # a parser reject, or text that does not decode
+        return False
+    return np.count_nonzero(mask) == n_records
+
+
+def _walk_records(path, dims):
+    """Read the records line by line. This defines every record error and
+    its message, naming the first bad line; it runs only on files that
+    `_scatter_records` could not take."""
+    values = np.zeros(dims)
+    mask = np.zeros(dims, dtype=bool)
     with open(path) as fh:
-        header = fh.readline().split()
-        if len(header) != 4 or header[0] != "dims":
-            raise ValueError(f"{path}: first line must be 'dims p1 p2 p3'")
-        try:
-            dims = tuple(int(t) for t in header[1:])
-        except ValueError:
-            raise ValueError(f"{path}: bad dims line {header!r}") from None
-        if min(dims) < 1:
-            raise ValueError(f"{path}: dims must be positive, got {dims}")
-        values = np.zeros(dims)
-        mask = np.zeros(dims, dtype=bool)
+        fh.readline()
         for ln, line in enumerate(fh, start=2):
             parts = line.split()
             if not parts:
@@ -106,6 +160,25 @@ def read_tensor(path):
             values[i - 1, j - 1, k - 1] = v
             mask[i - 1, j - 1, k - 1] = True
     return values, mask
+
+
+def read_tensor(path):
+    """Read a tensor file; returns (values, mask). Values must be finite."""
+    with open(path) as fh:
+        header = fh.readline().split()
+        if len(header) != 4 or header[0] != "dims":
+            raise ValueError(f"{path}: first line must be 'dims p1 p2 p3'")
+        try:
+            dims = tuple(int(t) for t in header[1:])
+        except ValueError:
+            raise ValueError(f"{path}: bad dims line {header!r}") from None
+        if min(dims) < 1:
+            raise ValueError(f"{path}: dims must be positive, got {dims}")
+        values = np.zeros(dims)
+        mask = np.zeros(dims, dtype=bool)
+        if _scatter_records(fh, dims, values.reshape(-1), mask.reshape(-1)):
+            return values, mask
+    return _walk_records(path, dims)
 
 
 def write_binary_tensor(path, x):
@@ -165,15 +238,25 @@ def read_model(path):
         pos += 1
         return line
 
-    dims = tuple(int(t) for t in expect("dims ").split()[1:])
-    if len(dims) != 3:
-        raise ValueError(f"{path}: bad dims line")
-    rank = int(expect("rank ").split()[1])
-    mu = float(expect("mu ").split()[1])
-    d_parts = expect("d").split()[1:]
-    if len(d_parts) != rank:
-        raise ValueError(f"{path}: expected {rank} weights, got {len(d_parts)}")
-    d = np.array([float(t) for t in d_parts])
+    def numbers(prefix, convert, count=None):
+        """The tokens after `prefix` on the next line, converted."""
+        line = expect(prefix)
+        try:
+            out = [convert(t) for t in line.split()[1:]]
+        except ValueError:
+            out = None
+        if out is None or count not in (None, len(out)):
+            raise ValueError(f"{path}:{pos}: bad {prefix.strip()} line {line!r}")
+        return out
+
+    dims = tuple(numbers("dims ", int, 3))
+    if min(dims) < 1:
+        raise ValueError(f"{path}:{pos}: dims must be positive, got {dims}")
+    (rank,) = numbers("rank ", int, 1)
+    (mu,) = numbers("mu ", float, 1)
+    d = numbers("d ", float)
+    if len(d) != rank:
+        raise ValueError(f"{path}: expected {rank} weights, got {len(d)}")
     mats = {}
     for name, p in zip(("U", "V", "W"), dims):
         label = expect(name)
@@ -189,7 +272,10 @@ def read_model(path):
                 raise ValueError(
                     f"{path}: factor {name} row has {len(parts)} entries, expected {rank}"
                 )
-            rows.append([float(t) for t in parts])
+            try:
+                rows.append([float(t) for t in parts])
+            except ValueError:
+                raise ValueError(f"{path}:{pos}: bad factor {name} row {raw[pos - 1]!r}") from None
         mats[name] = np.array(rows).reshape(p, rank)
     meta = {}
     while pos < len(raw):
@@ -201,5 +287,5 @@ def read_model(path):
             raise ValueError(f"{path}: unexpected trailing line {line!r}")
         parts = line.split(" ", 2)
         meta[parts[1]] = parts[2] if len(parts) > 2 else ""
-    model = LogitModel(mu, d, mats["U"], mats["V"], mats["W"])
+    model = LogitModel(mu, np.array(d), mats["U"], mats["V"], mats["W"])
     return model, meta

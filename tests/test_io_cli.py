@@ -1,5 +1,8 @@
 """Text file formats and the command line interface."""
 
+import re
+import warnings
+
 import numpy as np
 import pytest
 
@@ -82,6 +85,151 @@ def test_read_tensor_error_paths(tmp_path):
             fileio.read_tensor(written(f"dims 1 1 2\n1 1 1 0.5\n1 1 2 {token}\n"))
 
 
+def reference_tensor_text(values, mask, binary):
+    """The tensor file format written one cell at a time."""
+    p1, p2, p3 = values.shape
+    lines = [f"dims {p1} {p2} {p3}"]
+    for k in range(p3):
+        for j in range(p2):
+            for i in range(p1):
+                if mask[i, j, k]:
+                    v = values[i, j, k]
+                    sv = str(int(v)) if binary else repr(float(v))
+                    lines.append(f"{i + 1} {j + 1} {k + 1} {sv}")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("binary", [True, False])
+def test_write_tensor_matches_the_cell_loop(tmp_path, binary):
+    rng = np.random.default_rng(5)
+    # more records than one formatting chunk, with an irregular mask
+    vals = rng.standard_normal((70, 50, 40)) * 10.0 ** rng.integers(-8, 8, (70, 50, 40))
+    if binary:
+        vals = np.round(vals * 3.0)  # integers of both signs, and -0.0
+    mask = rng.random(vals.shape) < 0.7
+    path = tmp_path / "t.txt"
+    fileio.write_tensor(path, vals, mask, binary=binary)
+    assert path.read_text() == reference_tensor_text(vals, mask, binary)
+    got_vals, got_mask = fileio.read_tensor(path)
+    assert np.array_equal(got_mask, mask)
+    want = np.trunc(vals) if binary else vals
+    assert np.array_equal(got_vals, np.where(mask, want, 0.0))
+
+
+def test_tensor_round_trips_are_byte_identical(tmp_path):
+    special = [0.0, -0.0, 1.0, 1e-300, 5e-324, -5e-324, 0.1, 1e16, 1e-5, -2.5e300]
+    vals = np.array(special + [1.0 / 3.0, -7.0]).reshape((3, 2, 2), order="F")
+    a, b = tmp_path / "a.txt", tmp_path / "b.txt"
+    fileio.write_tensor(a, vals, binary=False)
+    assert a.read_text().splitlines()[1:6] == [
+        "1 1 1 0.0", "2 1 1 -0.0", "3 1 1 1.0", "1 2 1 1e-300", "2 2 1 5e-324"
+    ]
+    got, mask = fileio.read_tensor(a)
+    assert mask.all() and np.array_equal(got, vals)
+    assert np.array_equal(np.signbit(got), np.signbit(vals))
+    fileio.write_tensor(b, got, mask, binary=False)
+    assert a.read_bytes() == b.read_bytes()
+
+    rng = np.random.default_rng(2)
+    mask = rng.random((60, 40, 30)) < 0.8
+    x = BinaryTensor(np.where(mask, rng.random(mask.shape) < 0.5, 0.0), mask)
+    fileio.write_binary_tensor(a, x)
+    fileio.write_binary_tensor(b, fileio.read_binary_tensor(a))
+    assert a.read_bytes() == b.read_bytes()
+
+
+def test_write_tensor_rejects_a_mask_of_another_shape(tmp_path):
+    vals = np.zeros((3, 2, 2))
+    for shape in ((4, 2, 2), (2, 2, 2), (3, 2)):
+        with pytest.raises(ValueError, match=r"mask shape .* does not match tensor shape \(3, 2, 2\)"):
+            fileio.write_tensor(tmp_path / "t.txt", vals, np.ones(shape, dtype=bool))
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_failed_tensor_write_leaves_the_old_file(tmp_path):
+    path = tmp_path / "t.txt"
+    path.write_text("old\n")
+    vals = np.ones((256, 256, 2))
+    vals[-1, -1, -1] = np.nan  # the last record, past the first chunk of records
+    with pytest.raises(ValueError, match="cannot convert float NaN to integer"):
+        fileio.write_tensor(path, vals, binary=True)
+    assert path.read_text() == "old\n"
+    assert [f.name for f in tmp_path.iterdir()] == ["t.txt"]
+
+
+def test_read_tensor_error_messages_name_path_and_line(tmp_path):
+    p = tmp_path / "bad.txt"
+
+    def error(text):
+        p.write_bytes(text.encode())
+        with pytest.raises(ValueError) as info:
+            fileio.read_tensor(p)
+        return str(info.value)
+
+    head = "dims 2 2 2\n1 1 1 1\n"
+    assert error(head + "1 1 1\n") == f"{p}:3: expected 'i j k v', got '1 1 1\\n'"
+    assert error(head + "1 1 2 1 1\n") == f"{p}:3: expected 'i j k v', got '1 1 2 1 1\\n'"
+    assert error(head + "1 x 2 1\n") == f"{p}:3: bad record '1 x 2 1\\n'"
+    assert error(head + "1 1 2 1.0.0\n") == f"{p}:3: bad record '1 1 2 1.0.0\\n'"
+    assert error(head + "1 1 2 nan\n") == f"{p}:3: non-finite value 'nan'"
+    assert error(head + "1 1 2 1e999\n") == f"{p}:3: non-finite value '1e999'"
+    assert error(head + "1 3 1 1\n") == f"{p}:3: index (1,3,1) out of range (2, 2, 2)"
+    assert error(head + "0 1 1 1\n") == f"{p}:3: index (0,1,1) out of range (2, 2, 2)"
+    assert error(head + "1 1 1 0\n") == f"{p}:3: duplicate record for cell (1,1,1)"
+    # the first fault in file order wins, whatever its class
+    lines = ["dims 3 3 3", "1 1 1 1", "2 1 1 0", "3 1 1 1", "2 1 1 1",
+             "1 2 1 1", "2 2 1 1", "3 2 1 inf", "1 3 1 x", "4 1 1 1"]
+    assert error("\n".join(lines) + "\n") == f"{p}:5: duplicate record for cell (2,1,1)"
+    # blank lines and CRLF line ends count toward line numbers
+    assert error("dims 2 2 2\r\n\r\n1 1 1 1\r\n   \r\n1 1 3 1\r\n") == (
+        f"{p}:5: index (1,1,3) out of range (2, 2, 2)"
+    )
+    assert error("dims 2 2 2\n\n\n2 2 2 1\n\t\n2 2 2 0\n") == (
+        f"{p}:6: duplicate record for cell (2,2,2)"
+    )
+
+
+def test_read_tensor_duplicate_past_the_first_chunk(tmp_path):
+    p = tmp_path / "t.txt"
+    fileio.write_tensor(p, np.ones((100, 100, 10)))
+    with open(p, "a") as fh:
+        fh.write("37 5 2 0\n")
+    with pytest.raises(ValueError) as info:
+        fileio.read_tensor(p)
+    assert str(info.value) == f"{p}:100002: duplicate record for cell (37,5,2)"
+
+
+def test_read_tensor_header_only_and_blank_lines(tmp_path):
+    p = tmp_path / "t.txt"
+    p.write_text("dims 2 3 4\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        vals, mask = fileio.read_tensor(p)
+        assert vals.shape == (2, 3, 4) and not mask.any() and not vals.any()
+        p.write_text("dims 2 3 4\n\n  \n")
+        assert not fileio.read_tensor(p)[1].any()
+        p.write_bytes(b"dims 2 3 4\r\n\r\n2 3 4 1\r\n\t\r\n")
+        vals, mask = fileio.read_tensor(p)
+    assert mask.sum() == 1 and vals[1, 2, 3] == 1.0
+
+
+def test_read_tensor_takes_tokens_python_accepts(tmp_path):
+    p = tmp_path / "t.txt"
+    p.write_text("dims 12 2 2\n+1 1 1 1_0\n1_0 1 1 1e0\n2 +2 2 +1\n3 1 1 -0.0\n")
+    vals, mask = fileio.read_tensor(p)
+    assert np.array_equal(np.argwhere(mask), [[0, 0, 0], [1, 1, 1], [2, 0, 0], [9, 0, 0]])
+    assert vals[0, 0, 0] == 10.0 and vals[9, 0, 0] == 1.0 and vals[1, 1, 1] == 1.0
+    assert vals[2, 0, 0] == 0.0 and np.signbit(vals[2, 0, 0])
+    p.write_text("dims 2 2 2\n1e0 1 1 1\n")
+    with pytest.raises(ValueError, match=r"^" + re.escape(f"{p}:2: bad record '1e0 1 1 1\\n'")):
+        fileio.read_tensor(p)
+    big = "99999999999999999999"
+    p.write_text(f"dims 2 2 2\n1 1 1 1\n{big} 1 1 1\n")
+    with pytest.raises(ValueError) as info:
+        fileio.read_tensor(p)
+    assert str(info.value) == f"{p}:3: index ({big},1,1) out of range (2, 2, 2)"
+
+
 # ------------------------------------------------------------ model files
 
 
@@ -134,12 +282,48 @@ def test_read_model_error_paths(tmp_path):
     with pytest.raises(ValueError, match="single token"):
         fileio.write_model(tmp_path / "x.txt", m, {"two words": "v"})
 
+    # a malformed header or factor line names the path and the line
+    cases = [
+        (1, "dims 4 3", ":2: bad dims line 'dims 4 3'"),
+        (1, "dims 4 x 2", ":2: bad dims line 'dims 4 x 2'"),
+        (1, "dims 4 0 2", ":2: dims must be positive, got (4, 0, 2)"),
+        (2, "rank ", ":3: bad rank line 'rank '"),
+        (2, "rank two", ":3: bad rank line 'rank two'"),
+        (3, "mu ", ":4: bad mu line 'mu '"),
+        (3, "mu 0.1 0.2", ":4: bad mu line 'mu 0.1 0.2'"),
+        (4, "d 1.5 x", ":5: bad d line 'd 1.5 x'"),
+        (4, "dx 2.5 0.3", ": expected 'd ' at line 5"),
+        (6, "0.5 y", ":7: bad factor U row '0.5 y'"),
+    ]
+    for index, text, message in cases:
+        bad = lines.copy()
+        bad[index] = text
+        path = written(bad)
+        with pytest.raises(ValueError) as info:
+            fileio.read_model(path)
+        assert str(info.value) == f"{path}{message}"
+
 
 def test_atomic_write_overwrites_in_place(tmp_path):
     p = tmp_path / "out.txt"
     fileio.atomic_write_text(p, "first\n")
     fileio.atomic_write_text(p, "second\n")
     assert p.read_text() == "second\n"
+    assert [f.name for f in tmp_path.iterdir()] == ["out.txt"]
+
+
+def test_atomic_write_streams_chunks_or_leaves_the_old_file(tmp_path):
+    p = tmp_path / "out.txt"
+    fileio.atomic_write_text(p, (line for line in ("third\n", "fourth\n")))
+    assert p.read_text() == "third\nfourth\n"
+
+    def chunks():
+        yield "partial\n"
+        raise RuntimeError("chunk failed")
+
+    with pytest.raises(RuntimeError, match="chunk failed"):
+        fileio.atomic_write_text(p, chunks())
+    assert p.read_text() == "third\nfourth\n"
     assert [f.name for f in tmp_path.iterdir()] == ["out.txt"]
 
 
@@ -377,6 +561,19 @@ def test_cli_report_with_truth(sim_file, tmp_path, capsys):
     vals = np.array([[float(v) for v in row.split(",")] for row in rows])
     assert np.abs(vals).max() == pytest.approx(1.0, abs=1e-12)
     assert run_cli("report", "--model", tmp_path / "nope.model", "--out", out) == 2
+
+
+@pytest.mark.parametrize("line, text", [(2, "rank "), (3, "mu "), (1, "dims 4 3 two")])
+def test_cli_report_rejects_malformed_model_header(tmp_path, capsys, line, text):
+    good = tmp_path / "good.model"
+    fileio.write_model(good, small_model())
+    lines = good.read_text().splitlines()
+    lines[line] = text
+    bad = tmp_path / "bad.model"
+    bad.write_text("\n".join(lines) + "\n")
+    assert run_cli("report", "--model", bad, "--out", tmp_path / "rep") == 2
+    assert f"error: {bad}:{line + 1}: bad {text.split()[0]} line" in capsys.readouterr().err
+    assert not (tmp_path / "rep.txt").exists()
 
 
 @pytest.mark.parametrize(
