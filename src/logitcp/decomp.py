@@ -38,8 +38,6 @@ __all__ = [
     "rank_one_mm_fit",
     "offset_update",
     "final_offset",
-    "init_spectral",
-    "init_random",
     "als_fit",
     "multi_start_fit",
     "fit_rank_path",
@@ -267,18 +265,26 @@ def l1_project(g, c):
 # ------------------------------------------------------------ power steps
 
 
-def _normalize_direction(g, mode):
+def _project(g, mode, penalty, c, s):
+    """g mapped onto the unit-norm feasible set of `mode` (1, 2 or 3):
+    l1_project under the l1 budget c[mode-1], truncate_top to the l0
+    cardinality s[mode-1] then normalize, or just normalize. The descent
+    guarantee needs every iterate, starts included, inside this set."""
+    if penalty == "l1":
+        return l1_project(g, c[mode - 1])
+    if penalty == "l0":
+        g = truncate_top(g, s[mode - 1])
     n = np.linalg.norm(g)
     if n == 0.0 or not np.isfinite(n):
-        raise DegenerateDirectionError(f"zero contraction along mode {mode}")
+        raise DegenerateDirectionError(f"zero or non-finite direction along mode {mode}")
     return g / n
 
 
 def power_update(zc, u, v, w, mode, penalty="none", c=None, s=None):
     """One penalized tensor-power block update along `mode` (1, 2 or 3).
 
-    Contracts the centered working tensor with the other two factors,
-    applies the sparsity operator, and normalizes.
+    Contracts the centered working tensor with the other two factors and
+    projects the result onto the mode's feasible set.
     """
     if mode == 1:
         g = ops.rank_one_contract(zc, v=v, w=w)
@@ -288,11 +294,7 @@ def power_update(zc, u, v, w, mode, penalty="none", c=None, s=None):
         g = ops.rank_one_contract(zc, u=u, v=v)
     else:
         raise ValueError(f"mode must be 1, 2 or 3, got {mode}")
-    if penalty == "l1":
-        return l1_project(g, c[mode - 1])
-    if penalty == "l0":
-        g = truncate_top(g, s[mode - 1])
-    return _normalize_direction(g, mode)
+    return _project(g, mode, penalty, c, s)
 
 
 def offset_update(y, theta_c):
@@ -305,7 +307,7 @@ def offset_update(y, theta_c):
     return float(y.mean() - theta_c.mean())
 
 
-def final_offset(x, theta_c=None, tol=1e-8, max_iters=200):
+def final_offset(x, theta_c=None):
     """Offset maximizing the observed-data log-likelihood for fixed centered
     logits.
 
@@ -313,8 +315,10 @@ def final_offset(x, theta_c=None, tol=1e-8, max_iters=200):
     so the root is unique; Newton steps are safeguarded by bisection on
     [-40, 40]. If the gradient never changes sign there (all-ones or
     all-zeros data) the bracket end is returned; logits beyond 40 saturate
-    at double precision anyway.
+    at double precision anyway. The search stops once |gradient| < 1e-8, or
+    after 200 steps.
     """
+    tol = 1e-8
     if theta_c is None:
         tc = np.zeros(x.n_observed)
     else:
@@ -336,7 +340,7 @@ def final_offset(x, theta_c=None, tol=1e-8, max_iters=200):
     if ghi >= -tol:
         return hi
     mu = 0.0
-    for _ in range(max_iters):
+    for _ in range(200):
         p = sigmoid(mu + tc)
         g = float(np.sum(xv - p))
         if abs(g) < tol:
@@ -464,23 +468,13 @@ def _random_unit(rng, p):
             return g / n
 
 
-def _feasible_direction(vec, penalty, budget, nnz):
-    # the descent guarantee needs every iterate, the start included, inside
-    # the constraint set; a dense or over-budget start can send the first
-    # block update uphill
-    if penalty == "l1":
-        return l1_project(vec, budget)
-    if penalty == "l0":
-        t = truncate_top(vec, nnz)
-        return t / np.linalg.norm(t)
-    return vec / np.linalg.norm(vec)
-
-
 def rank_one_mm_fit(x, cfg, init=None, mu0=None, rng=None):
     """MM fit of a single rank-one logit component (power-method family).
 
-    init: (u, v, w) unit vectors or (u, v, w, d) with a starting weight;
-    None draws one according to cfg.init. mu0 defaults to the mean of
+    init: (u, v, w) directions or (u, v, w, d) with a starting weight;
+    None draws one according to cfg.init. Each start vector is projected
+    onto its mode's feasible set first, so a zero one raises
+    DegenerateDirectionError. mu0 defaults to the mean of
     2x - 1 over all cells (unobserved zero-filled). The returned trace
     holds the negative log-likelihood at the start and after each outer
     pass.
@@ -493,21 +487,11 @@ def rank_one_mm_fit(x, cfg, init=None, mu0=None, rng=None):
         if mu0 is None:
             mu0 = mu_init
     else:
-        if len(init) == 4:
-            u, v, w, d = init
-            d = float(d)
-        else:
-            u, v, w = init
-            d = 0.0
-        u = np.asarray(u, dtype=float).copy()
-        v = np.asarray(v, dtype=float).copy()
-        w = np.asarray(w, dtype=float).copy()
-    u = _feasible_direction(u, cfg.penalty, None if c is None else c[0], None if s is None else s[0])
-    if cfg.symmetric_uv:
-        v = u.copy()
-    else:
-        v = _feasible_direction(v, cfg.penalty, None if c is None else c[1], None if s is None else s[1])
-    w = _feasible_direction(w, cfg.penalty, None if c is None else c[2], None if s is None else s[2])
+        u, v, w = (np.asarray(f, dtype=float) for f in init[:3])
+        d = float(init[3]) if len(init) == 4 else 0.0
+    u = _project(u, 1, cfg.penalty, c, s)
+    v = u if cfg.symmetric_uv else _project(v, 2, cfg.penalty, c, s)
+    w = _project(w, 3, cfg.penalty, c, s)
     if mu0 is None:
         mu0 = _base_tensor(x)[1]
 
@@ -609,23 +593,6 @@ def _init_power(base, cfg, s, rng, spectral):
     d = float(np.linalg.norm(wbar))
     w = wbar / d if d > 0 else _random_unit(rng, q.shape[2])
     return u, v, w, d, mu
-
-
-def init_spectral(x, cfg, rng=None):
-    """Data-driven rank-one start (u, v, w, d, mu): singular vectors of the
-    centered sign tensor, with the last mode solved from the data."""
-    _, s = _check_config(x, cfg)
-    rng = _rng(cfg.seed, 9) if rng is None else rng
-    return _init_power(_base_tensor(x), cfg, s, rng, spectral=True)
-
-
-def init_random(x, cfg, rng=None):
-    """Random rank-one start (u, v, w, d, mu): Gaussian factors (truncated
-    to the l0 pattern when one is configured), normalized, with the last
-    mode solved from the data."""
-    _, s = _check_config(x, cfg)
-    rng = _rng(cfg.seed, 9) if rng is None else rng
-    return _init_power(_base_tensor(x), cfg, s, rng, spectral=False)
 
 
 # -------------------------------------------------------------------- ALS

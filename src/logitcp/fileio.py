@@ -215,9 +215,13 @@ def write_model(path, model, meta=None):
         lines.append(name)
         lines.extend(_matrix_lines(mat))
     for key, value in (meta or {}).items():
-        key = str(key)
-        if " " in key or not key:
+        key, value = str(key), str(value)
+        if key.split() != [key]:
             raise ValueError(f"meta key {key!r} must be a single token")
+        # read_model splits the file with str.splitlines, which breaks at
+        # \n, \r and a few other separators; a value must come through whole
+        if value.splitlines() not in ([], [value]):
+            raise ValueError(f"meta value for {key!r} must be a single line")
         lines.append(f"meta {key} {value}")
     atomic_write_text(path, "\n".join(lines) + "\n")
 

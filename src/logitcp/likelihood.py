@@ -20,10 +20,8 @@ __all__ = [
     "softplus",
     "neg_loglik",
     "deviance",
-    "working_tensor",
     "loss_and_working",
     "majorizer_gap",
-    "predict_probs",
     "impute",
 ]
 
@@ -139,9 +137,9 @@ class LogitModel:
     def dims(self):
         return (self.U.shape[0], self.V.shape[0], self.W.shape[0])
 
-    def theta(self, out=None):
+    def theta(self):
         """Full logit tensor."""
-        return ops.cp_reconstruct(self.mu, self.d, self.U, self.V, self.W, out=out)
+        return ops.cp_reconstruct(self.mu, self.d, self.U, self.V, self.W)
 
     def probs(self):
         """Cell probabilities sigmoid(theta)."""
@@ -173,23 +171,13 @@ def deviance(x, model):
     return 2.0 * neg_loglik(x, model)
 
 
-def working_tensor(x, theta, out=None):
-    """Quadratic-majorizer targets around the current logits.
-
-    Observed cells get z = theta + 4*(x - sigmoid(theta)); unobserved cells
-    keep theta, which makes the surrogate ignore them.
-    """
-    theta = _theta_of(theta, x.dims)
-    if out is None:
-        out = np.empty_like(theta)
-    loss_and_working(x, theta, out)
-    return out
-
-
 def loss_and_working(x, theta, out=None):
     """Negative log-likelihood of the logit tensor theta over the observed
-    cells; with `out`, also the working tensor around theta written into it
-    (see working_tensor).
+    cells; with `out`, also the working tensor around theta written into it.
+
+    The working tensor holds the quadratic-majorizer targets: observed
+    cells get z = theta + 4*(x - sigmoid(theta)), unobserved cells keep
+    theta, which makes the surrogate ignore them.
 
     Both come from one e = exp(-|theta|): the loss is
     sum max(theta, 0) + log1p(e) - <x, theta>, and the working tensor uses
@@ -244,14 +232,6 @@ def majorizer_gap(x, theta, anchor):
     surrogate = (softplus(anchor) - x * anchor) + (sigmoid(anchor) - x) * diff + diff * diff / 8.0
     exact = softplus(theta) - x * theta
     return surrogate - exact
-
-
-def predict_probs(model):
-    """Probability tensor sigmoid(theta) of a fitted model (or of a raw
-    logit tensor)."""
-    if isinstance(model, LogitModel):
-        return model.probs()
-    return sigmoid(np.asarray(model, dtype=float))
 
 
 def impute(probs, threshold=0.5):

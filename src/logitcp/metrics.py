@@ -1,8 +1,8 @@
 """Recovery and prediction metrics against a known ground truth.
 
 Factor comparisons resolve the CP sign ambiguity per column and the
-permutation ambiguity by sorting both models' components by decreasing
-weight before matching them index by index.
+permutation ambiguity by weight order: LogitModel keeps its components
+sorted by nonincreasing weight, so both models are matched index by index.
 """
 
 from dataclasses import dataclass, field
@@ -23,11 +23,6 @@ __all__ = [
     "roc_points",
     "completion_auc",
 ]
-
-
-def _canon(model):
-    order = np.argsort(-model.d, kind="stable")
-    return model.d[order], model.U[:, order], model.V[:, order], model.W[:, order]
 
 
 def _check_ranks(fit, truth):
@@ -51,11 +46,9 @@ def _column_error(a, b):
 def mean_error(fit, truth):
     """Sign-resolved factor error, averaged over components and modes."""
     _check_ranks(fit, truth)
-    df, uf, vf, wf = _canon(fit)
-    dt, ut, vt, wt = _canon(truth)
     per_mode = []
-    for fhat, ftrue in ((uf, ut), (vf, vt), (wf, wt)):
-        errs = [_column_error(fhat[:, r], ftrue[:, r]) for r in range(len(df))]
+    for fhat, ftrue in ((fit.U, truth.U), (fit.V, truth.V), (fit.W, truth.W)):
+        errs = [_column_error(fhat[:, r], ftrue[:, r]) for r in range(fit.rank)]
         per_mode.append(float(np.mean(errs)))
     return float(np.mean(per_mode))
 
@@ -63,32 +56,29 @@ def mean_error(fit, truth):
 def weight_error(fit, truth):
     """Relative weight error ||d_hat - d*||_2 / ||d*||_2."""
     _check_ranks(fit, truth)
-    df = _canon(fit)[0]
-    dt = _canon(truth)[0]
-    return float(np.linalg.norm(df - dt) / np.linalg.norm(dt))
+    return float(np.linalg.norm(fit.d - truth.d) / np.linalg.norm(truth.d))
 
 
-def tpr_fpr(fit, truth, tol=NONZERO_TOL):
+def tpr_fpr(fit, truth):
     """Support recovery rates, averaged over components then modes.
 
     For each truth column, TPR is the recovered fraction of its support and
     FPR the flagged fraction of its zero set; entries count as nonzero when
-    |entry| > tol. Truth columns without zeros contribute no FPR term (a
-    note records the skip); a mode where every column is skipped reports
-    nan for that rate.
+    |entry| > NONZERO_TOL. Truth columns without zeros contribute no FPR
+    term (a note records the skip); a mode where every column is skipped
+    reports nan for that rate.
     """
     _check_ranks(fit, truth)
-    _, uf, vf, wf = _canon(fit)
-    _, ut, vt, wt = _canon(truth)
     r = fit.rank
     per_mode = {}
     notes = []
     tprs, fprs = [], []
-    for name, fhat, ftrue in (("U", uf, ut), ("V", vf, vt), ("W", wf, wt)):
+    pairs = (("U", fit.U, truth.U), ("V", fit.V, truth.V), ("W", fit.W, truth.W))
+    for name, fhat, ftrue in pairs:
         mode_tpr, mode_fpr = [], []
         for j in range(r):
-            hot = np.abs(fhat[:, j]) > tol
-            true_hot = np.abs(ftrue[:, j]) > tol
+            hot = np.abs(fhat[:, j]) > NONZERO_TOL
+            true_hot = np.abs(ftrue[:, j]) > NONZERO_TOL
             if not true_hot.any():
                 notes.append(f"{name} column {j + 1}: empty truth support, TPR skipped")
             else:

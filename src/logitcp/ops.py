@@ -112,13 +112,13 @@ def khatri_rao(a, b):
     return (a[:, None, :] * b[None, :, :]).reshape(m * n, r)
 
 
-def hadamard(a, b, out=None):
-    """Elementwise product with optional output buffer."""
+def hadamard(a, b):
+    """Elementwise product of two arrays of one shape."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if a.shape != b.shape:
         raise ValueError(f"hadamard operands differ in shape: {a.shape} vs {b.shape}")
-    return np.multiply(a, b, out=out)
+    return np.multiply(a, b)
 
 
 def cp_reconstruct(mu, d, U, V, W, out=None):

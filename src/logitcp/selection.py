@@ -35,10 +35,10 @@ __all__ = [
 NONZERO_TOL = 1e-10
 
 
-def model_df(model, tol=NONZERO_TOL):
+def model_df(model):
     """1 + ||U||_0 + ||V||_0 + ||W||_0 - 2R, entries counted nonzero when
-    |entry| > tol."""
-    nnz = sum(int(np.sum(np.abs(f) > tol)) for f in (model.U, model.V, model.W))
+    |entry| > NONZERO_TOL."""
+    nnz = sum(int(np.sum(np.abs(f) > NONZERO_TOL)) for f in (model.U, model.V, model.W))
     return 1 + nnz - 2 * model.rank
 
 
@@ -334,17 +334,19 @@ def _select_by_deviance(x, cfg, grid, method, sweep_ratio):
     r_max = max(grid.ranks)
     cell_cfg = decomp.method_config(replace(cfg, rank=r_max), method, x.dims, ratio)
     models = _fit_ranks(x, cell_cfg, method, [r_max])
-    report = models[r_max]
-    ladder = explained_deviance(x, report.model)
+    m = models[r_max].model
+    ladder = explained_deviance(x, m)
     table = ScoreTable(criterion="deviance")
     for r in grid.ranks:
-        if r <= report.model.rank:
+        if r <= m.rank:
+            # each row scores the rank-r prefix of the fitted model
+            prefix = LogitModel(m.mu, m.d[:r], m.U[:, :r], m.V[:, :r], m.W[:, :r])
             table.rows.append(
                 ScoreRow(
                     rank=r,
                     ratio=ratio,
                     score=float(-ladder.cumulative[r - 1]),
-                    df=model_df(report.model),
+                    df=model_df(prefix),
                     neg_loglik=float(ladder.null_deviance * (1 - ladder.cumulative[r - 1]) / 2),
                     note=f"marginal={float(ladder.marginal[r - 1])!r}",
                 )
@@ -357,7 +359,7 @@ def _select_by_deviance(x, cfg, grid, method, sweep_ratio):
     eligible = [
         r
         for r in grid.ranks
-        if r <= report.model.rank and ladder.marginal[r - 1] >= 0.01
+        if r <= m.rank and ladder.marginal[r - 1] >= 0.01
     ]
     chosen = max(eligible) if eligible else min(grid.ranks)
     for row in table.rows:

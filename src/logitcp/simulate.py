@@ -119,17 +119,17 @@ def gen_sparse_factors(cfg, rng):
 _baseline_cache = {}
 
 
-def calibrate_baseline(dims, rank, seed=0, reps=100, n_starts=10):
+def calibrate_baseline(dims, rank, seed=0, reps=100):
     """Mean recovered weight of a rank-R fit on pure Bernoulli(1/2) noise.
 
     Each replicate draws a coin-flip tensor, fits it with the unpenalized
-    power method, and averages the R weights; the baseline is the mean over
-    replicates. Replicates whose fit fails or finds fewer than R clusters
-    are skipped; fewer than 80% successes is an error. Results are memoized
-    in-process on (dims, rank, seed, reps, n_starts).
+    power method from 10 starts, and averages the R weights; the baseline
+    is the mean over replicates. Replicates whose fit fails or finds fewer
+    than R clusters are skipped; fewer than 80% successes is an error.
+    Results are memoized in-process on (dims, rank, seed, reps).
     """
     dims = tuple(int(p) for p in dims)
-    key = (dims, int(rank), decomp._seed_tuple(seed), int(reps), int(n_starts))
+    key = (dims, int(rank), decomp._seed_tuple(seed), int(reps))
     if key in _baseline_cache:
         return _baseline_cache[key]
     weights = []
@@ -138,7 +138,7 @@ def calibrate_baseline(dims, rank, seed=0, reps=100, n_starts=10):
         x = BinaryTensor.dense((rng.random(dims) < 0.5).astype(float))
         cfg = decomp.FitConfig(
             rank=int(rank),
-            n_starts=int(n_starts),
+            n_starts=10,
             init="spectral",
             seed=decomp._seed_tuple(seed, 102, rep),
         )
@@ -158,18 +158,18 @@ def calibrate_baseline(dims, rank, seed=0, reps=100, n_starts=10):
     return value
 
 
-def gen_dataset(cfg, baseline_weight=None, baseline_seed=0):
+def gen_dataset(cfg, baseline_weight=None):
     """Draw one synthetic dataset.
 
     True weights are snr_r times the noise baseline for cfg.dims and
     cfg.rank (calibrated once and cached; pass baseline_weight to skip the
-    calibration). The baseline uses its own seed, independent of cfg.seed,
-    so replicates of one design share it. Returns (BinaryTensor,
+    calibration). The baseline uses its own seed 0, independent of
+    cfg.seed, so replicates of one design share it. Returns (BinaryTensor,
     GroundTruth); the data tensor is fully observed.
     """
     if baseline_weight is None:
         baseline_weight = calibrate_baseline(
-            cfg.dims, cfg.rank, seed=baseline_seed, reps=cfg.baseline_reps
+            cfg.dims, cfg.rank, seed=0, reps=cfg.baseline_reps
         )
     db = float(baseline_weight)
     if db <= 0:

@@ -9,14 +9,14 @@ from logitcp import ops
 from logitcp.decomp import (
     DegenerateDirectionError,
     FitConfig,
+    _base_tensor,
+    _init_power,
     _leading_left_singular,
     als_fit,
     c_from_ratio,
     final_offset,
     fit,
     fit_rank_path,
-    init_random,
-    init_spectral,
     l1_project,
     multi_start_fit,
     offset_update,
@@ -367,6 +367,11 @@ def test_rank_one_on_masked_data():
 # -------------------------------------------------------------- init makers
 
 
+def power_start(x, cfg, spectral):
+    """A rank-one start (u, v, w, d, mu) as the multi-start pools draw it."""
+    return _init_power(_base_tensor(x), cfg, cfg.s, np.random.default_rng(cfg.seed), spectral)
+
+
 def test_spectral_init_recovers_sign_tensor_direction():
     rng = np.random.default_rng(10)
     u = np.sign(rng.standard_normal(20))
@@ -374,7 +379,7 @@ def test_spectral_init_recovers_sign_tensor_direction():
     w = np.sign(rng.standard_normal(6))
     vals = (np.einsum("i,j,k->ijk", u, v, w) > 0).astype(float)
     x = BinaryTensor.dense(vals)
-    ui, vi, wi, d, mu = init_spectral(x, FitConfig(rank=1, seed=0))
+    ui, vi, wi, d, mu = power_start(x, FitConfig(rank=1, seed=0), spectral=True)
     assert abs(ui @ (u / np.linalg.norm(u))) == pytest.approx(1.0, abs=1e-8)
     assert abs(vi @ (v / np.linalg.norm(v))) == pytest.approx(1.0, abs=1e-8)
     assert d > 0
@@ -383,25 +388,38 @@ def test_spectral_init_recovers_sign_tensor_direction():
 def test_init_shapes_and_determinism():
     x, _ = planted_rank_one()
     cfg = FitConfig(rank=1, seed=4)
-    a = init_random(x, cfg)
-    b = init_random(x, cfg)
+    a = power_start(x, cfg, spectral=False)
+    b = power_start(x, cfg, spectral=False)
     for va, vb in zip(a, b):
         np.testing.assert_array_equal(va, vb)
-    for u, v, w, d, mu in (a, init_spectral(x, cfg)):
+    for u, v, w, d, mu in (a, power_start(x, cfg, spectral=True)):
         assert u.shape == (x.dims[0],) and v.shape == (x.dims[1],) and w.shape == (x.dims[2],)
         assert d > 0 and np.isfinite(mu)
     with pytest.raises(ValueError):
-        init_spectral(x, FitConfig(rank=1, init="other"))
+        rank_one_mm_fit(x, FitConfig(rank=1, init="other"))
 
 
 def test_l0_inits_are_feasible():
     x, _ = planted_rank_one()
     s = (5, 2, 2)
     cfg = FitConfig(rank=1, penalty="l0", s=s, seed=1)
-    for maker in (init_spectral, init_random):
-        u, v, w, d, mu = maker(x, cfg)
+    for spectral in (True, False):
+        u, v, w, d, mu = power_start(x, cfg, spectral)
         assert int(np.sum(u != 0)) <= s[0]
         assert int(np.sum(v != 0)) <= s[1]
+
+
+@pytest.mark.parametrize("penalty", ["none", "l1", "l0"])
+@pytest.mark.parametrize("bad", [0.0, np.nan])
+def test_zero_or_non_finite_start_vector_raises(penalty, bad):
+    x, _ = planted_rank_one()
+    kw = {"l1": {"c": c_from_ratio(x.dims, 0.5)}, "l0": {"s": s_from_ratio(x.dims, 0.5)}}
+    cfg = FitConfig(rank=1, penalty=penalty, seed=0, **kw.get(penalty, {}))
+    for mode in range(3):
+        init = [np.ones(p) for p in x.dims]
+        init[mode] = np.full(x.dims[mode], bad)
+        with pytest.raises(DegenerateDirectionError):
+            rank_one_mm_fit(x, cfg, init=tuple(init))
 
 
 # ------------------------------------------------------------- full fits

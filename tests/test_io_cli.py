@@ -279,8 +279,18 @@ def test_read_model_error_paths(tmp_path):
         fileio.read_model(written(bad_row))
     with pytest.raises(ValueError, match="unexpected trailing line"):
         fileio.read_model(written(lines + ["junk trailing line"]))
-    with pytest.raises(ValueError, match="single token"):
-        fileio.write_model(tmp_path / "x.txt", m, {"two words": "v"})
+    # meta that read_model could not read back is refused before writing
+    for meta, message in (
+        ({"two words": "v"}, "single token"),
+        ({"tab\tkey": "v"}, "single token"),
+        ({"": "v"}, "single token"),
+        ({"note": "two\nlines"}, "single line"),
+        ({"note": "ends\r"}, "single line"),
+        ({"note": "page\x0cbreak"}, "single line"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            fileio.write_model(tmp_path / "x.txt", m, meta)
+    assert not (tmp_path / "x.txt").exists()
 
     # a malformed header or factor line names the path and the line
     cases = [

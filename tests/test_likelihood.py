@@ -15,10 +15,8 @@ from logitcp.likelihood import (
     loss_and_working,
     majorizer_gap,
     neg_loglik,
-    predict_probs,
     sigmoid,
     softplus,
-    working_tensor,
 )
 
 
@@ -99,7 +97,8 @@ def test_neg_loglik_gradient_matches_central_differences():
 def test_working_tensor_hand_values():
     x = dense(np.array([[[1.0]], [[0.0]]]))
     theta = np.zeros((2, 1, 1))
-    z = working_tensor(x, theta)
+    z = np.empty_like(theta)
+    loss_and_working(x, theta, z)
     np.testing.assert_allclose(z, [[[2.0]], [[-2.0]]], atol=1e-12)
 
 
@@ -108,16 +107,20 @@ def test_working_tensor_unobserved_cells_keep_theta():
     mask = np.array([[[True, False]]])
     x = BinaryTensor(vals, mask)
     theta = np.array([[[0.5, -3.25]]])
-    z = working_tensor(x, theta)
+    z = np.empty_like(theta)
+    loss_and_working(x, theta, z)
     assert z[0, 0, 1] == -3.25
     assert z[0, 0, 0] == pytest.approx(0.5 + 4 * (1.0 - sigmoid(0.5)), abs=1e-12)
 
 
 def test_working_tensor_out_buffer():
+    # the working tensor goes into `out` in full; the return value is the
+    # loss, the same with or without `out`
     x = dense(np.ones((2, 2, 2)))
     theta = np.zeros((2, 2, 2))
-    buf = np.empty_like(theta)
-    assert working_tensor(x, theta, out=buf) is buf
+    buf = np.full_like(theta, np.nan)
+    assert loss_and_working(x, theta, buf) == loss_and_working(x, theta)
+    np.testing.assert_array_equal(buf, np.full((2, 2, 2), 2.0))
 
 
 def test_loss_and_working_matches_references_dense_and_masked():
@@ -139,12 +142,10 @@ def test_loss_and_working_matches_references_dense_and_masked():
             nll = loss_and_working(x, theta, out)
             loss_only = loss_and_working(x, theta)
             plain_nll = neg_loglik(x, theta)
-            plain_z = working_tensor(x, theta)
         assert nll == pytest.approx(want_nll, rel=1e-12)
         assert loss_only == nll
         assert plain_nll == pytest.approx(nll, rel=1e-12)
         np.testing.assert_allclose(out, want_z, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(plain_z, out, rtol=0, atol=1e-12)
         # unobserved cells carry theta exactly
         assert np.array_equal(out[~mask], theta[~mask])
 
@@ -234,9 +235,9 @@ def test_binary_tensor_validation():
 
 
 def test_predict_probs_and_impute():
-    theta = np.array([[[0.0, 3.0], [-3.0, 0.0]]])
-    p = predict_probs(theta)
-    np.testing.assert_allclose(p, sigmoid(theta), atol=1e-15)
+    m = LogitModel(0.5, [3.0], np.array([[0.6], [-0.8]]), np.ones((1, 1)), np.array([[1.0], [0.0]]))
+    np.testing.assert_allclose(m.probs(), sigmoid(m.theta()), atol=1e-15)
+    np.testing.assert_allclose(m.probs()[:, 0, 0], sigmoid([2.3, -1.9]), atol=1e-15)
     labels = impute(np.array([0.2, 0.5, 0.8]))
     np.testing.assert_array_equal(labels, [0.0, 1.0, 1.0])  # 0.5 maps to 1
     with pytest.raises(ValueError):

@@ -183,6 +183,25 @@ def test_select_model_deviance_rule_picks_strong_component_only():
     assert len(chosen) == 1 and chosen[0].rank == 1
 
 
+@pytest.mark.parametrize("method, ratio", [("tp", None), ("ttp", 0.5)])
+def test_deviance_rows_carry_their_own_prefix_df(method, ratio):
+    rng = np.random.default_rng(19)
+    dims = (20, 10, 8)
+    theta = sum(
+        wt * np.einsum("i,j,k->ijk", *(unit(rng.standard_normal(p)) for p in dims))
+        for wt in (40.0, 25.0)
+    )
+    x = bernoulli(theta, seed=20)
+    grid = SelectionGrid(ranks=(1, 2), ratios=None if ratio is None else (ratio,),
+                         criterion="deviance")
+    _, _, table = select_model(x, FitConfig(rank=2, n_starts=4, seed=21), grid, method=method)
+    # tp factors are dense; ttp keeps exactly s_i = floor(ratio * p_i) entries
+    nnz = sum(dims) if ratio is None else sum(int(ratio * p) for p in dims)
+    assert [(row.rank, row.df) for row in table.rows] == [
+        (r, 1 + r * nnz - 2 * r) for r in (1, 2)
+    ]
+
+
 def test_select_model_two_stage_with_ratios():
     rng = np.random.default_rng(16)
     u = np.zeros(12)

@@ -117,8 +117,8 @@ def test_drop_uniform_rejects_degenerate_fractions():
 
 
 def test_calibrate_baseline_positive_stable_and_memoized(monkeypatch):
-    d1 = calibrate_baseline((7, 6, 5), 1, seed=0, reps=4, n_starts=3)
-    d2 = calibrate_baseline((7, 6, 5), 1, seed=1, reps=4, n_starts=3)
+    d1 = calibrate_baseline((7, 6, 5), 1, seed=0, reps=4)
+    d2 = calibrate_baseline((7, 6, 5), 1, seed=1, reps=4)
     assert d1 > 0 and d2 > 0
     # pure-noise recoveries at one shape agree loosely across seeds
     assert abs(d1 - d2) / d1 < 0.5
@@ -127,7 +127,7 @@ def test_calibrate_baseline_positive_stable_and_memoized(monkeypatch):
         raise AssertionError("refit despite cache")
 
     monkeypatch.setattr(simulate.decomp, "multi_start_fit", boom)
-    assert calibrate_baseline((7, 6, 5), 1, seed=0, reps=4, n_starts=3) == d1
+    assert calibrate_baseline((7, 6, 5), 1, seed=0, reps=4) == d1
 
 
 def test_gen_dataset_uses_calibrated_baseline():
