@@ -319,6 +319,9 @@ def final_offset(x, theta_c=None):
     after 200 steps.
     """
     tol = 1e-8
+    # on fully observed data the observed cells are all cells, in the order
+    # boolean indexing would give, so views replace the copies
+    dense = x.fully_observed
     if theta_c is None:
         tc = np.zeros(x.n_observed)
     else:
@@ -327,8 +330,8 @@ def final_offset(x, theta_c=None):
             raise ValueError(
                 f"centered logits shape {theta_c.shape} does not match data {x.dims}"
             )
-        tc = theta_c[x.mask]
-    xv = x.values[x.mask]
+        tc = theta_c.ravel() if dense else theta_c[x.mask]
+    xv = x.values.ravel() if dense else x.values[x.mask]
 
     def grad(mu):
         return float(np.sum(xv - sigmoid(mu + tc)))
@@ -472,17 +475,18 @@ def rank_one_mm_fit(x, cfg, init=None, mu0=None, rng=None):
     """MM fit of a single rank-one logit component (power-method family).
 
     init: (u, v, w) directions or (u, v, w, d) with a starting weight;
-    None draws one according to cfg.init. Each start vector is projected
-    onto its mode's feasible set first, so a zero one raises
-    DegenerateDirectionError. mu0 defaults to the mean of
+    None draws one according to cfg.init from rng (default: a stream of
+    cfg.seed). Each start vector is projected onto its mode's feasible set
+    first, so a zero one raises DegenerateDirectionError, as does a zero
+    contraction in a later power step. mu0 defaults to the mean of
     2x - 1 over all cells (unobserved zero-filled). The returned trace
     holds the negative log-likelihood at the start and after each outer
     pass.
     """
     c, s = _check_config(x, cfg)
-    if rng is None:
-        rng = _rng(cfg.seed, 9)
     if init is None:
+        if rng is None:
+            rng = _rng(cfg.seed, 9)
         u, v, w, d, mu_init = _init_power(_base_tensor(x), cfg, s, rng, cfg.init == "spectral")
         if mu0 is None:
             mu0 = mu_init
@@ -496,17 +500,21 @@ def rank_one_mm_fit(x, cfg, init=None, mu0=None, rng=None):
         mu0 = _base_tensor(x)[1]
 
     def block_update(zc, factors):
-        if ops.frob_norm(zc) == 0.0:
+        if not zc.any():
             return 0.0, factors
         u, v, w = factors
         for _t in range(cfg.max_inner_iters):
             old = (u, v, w)
-            u = _power_step(zc, u, v, w, 1, cfg.penalty, c, s, rng)
-            v = u if cfg.symmetric_uv else _power_step(zc, u, v, w, 2, cfg.penalty, c, s, rng)
-            w = _power_step(zc, u, v, w, 3, cfg.penalty, c, s, rng)
+            u = power_update(zc, u, v, w, 1, cfg.penalty, c, s)
+            # Z x1 u serves the v-step, the w-step and the weight, so a
+            # sweep reads the working tensor twice
+            m = ops.rank_one_contract(zc, u=u)
+            v = u if cfg.symmetric_uv else _project(m @ w, 2, cfg.penalty, c, s)
+            vm = v @ m
+            w = _project(vm, 3, cfg.penalty, c, s)
             if _factor_change((u, v, w), old) <= cfg.inner_tol:
                 break
-        d = float(ops.rank_one_contract(zc, u, v, w))
+        d = float(vm @ w)
         if d < 0.0:
             w, d = -w, -d
         return d, (u, v, w)
@@ -525,18 +533,6 @@ def rank_one_mm_fit(x, cfg, init=None, mu0=None, rng=None):
         converged=converged,
         reason=reason,
     )
-
-
-def _power_step(zc, u, v, w, mode, penalty, c, s, rng):
-    # a zero contraction on nonzero data is a measure-zero accident; the
-    # caller-reinitializes contract is a fresh random direction
-    try:
-        return power_update(zc, u, v, w, mode, penalty, c, s)
-    except DegenerateDirectionError:
-        p = zc.shape[mode - 1]
-        fresh = [u, v, w]
-        fresh[mode - 1] = _random_unit(rng, p)
-        return power_update(zc, fresh[0], fresh[1], fresh[2], mode, penalty, c, s)
 
 
 # -------------------------------------------------------- initializations
@@ -747,7 +743,7 @@ def _run_pool(x, cfg, s, count, stream):
         rng = _rng(cfg.seed, stream, tau)
         try:
             u, v, w, d, mu0 = _init_power(base, cfg, s, rng, spectral)
-            return rank_one_mm_fit(x, cfg, init=(u, v, w, d), mu0=mu0, rng=rng)
+            return rank_one_mm_fit(x, cfg, init=(u, v, w, d), mu0=mu0)
         except DegenerateDirectionError:
             return None
 
@@ -795,7 +791,6 @@ def _multi_start_reports(x, cfg, ranks):
 
     components = []
     topped_up = False
-    attempt = 0
     while len(components) < r_max:
         if not pool:
             if topped_up:
@@ -807,13 +802,8 @@ def _multi_start_reports(x, cfg, ranks):
             continue
         best = max(pool, key=lambda f: f.weight)
         refit = rank_one_mm_fit(
-            x,
-            cfg_max,
-            init=(best.u, best.v, best.w, best.weight),
-            mu0=best.mu,
-            rng=_rng(cfg.seed, 3, attempt),
+            x, cfg_max, init=(best.u, best.v, best.w, best.weight), mu0=best.mu
         )
-        attempt += 1
         pool = [f for f in pool if _tuple_distance(f, best) > cfg.cluster_threshold]
         if refit.weight > 0:
             components.append(refit)

@@ -193,7 +193,11 @@ def loss_and_working(x, theta, out=None):
     obs = None if x.fully_observed else x.mask
 
     def observed_sum(a):
-        return a.sum() if obs is None else a.sum(where=obs)
+        # zeroing the unobserved cells of the scratch `a` in place and taking
+        # a plain sum is several times faster than sum(where=obs)
+        if obs is not None:
+            a *= obs
+        return a.sum()
 
     np.log1p(e, out=tmp)
     nll = observed_sum(tmp)

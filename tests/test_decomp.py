@@ -10,8 +10,12 @@ from logitcp.decomp import (
     DegenerateDirectionError,
     FitConfig,
     _base_tensor,
+    _check_config,
+    _factor_change,
     _init_power,
     _leading_left_singular,
+    _mm_passes,
+    _project,
     als_fit,
     c_from_ratio,
     final_offset,
@@ -346,6 +350,72 @@ def test_infeasible_start_is_projected_before_first_pass():
     f = rank_one_mm_fit(x, cfg, init=dense_init)
     steps = np.diff(f.trace)
     assert steps.size == 0 or steps.max() <= MONOTONE_SLACK
+
+
+def _reference_rank_one(x, cfg, init, mu0):
+    """rank_one_mm_fit written the long way: three power_update
+    contractions per sweep, and the weight from a contraction on all three
+    modes."""
+    c, s = _check_config(x, cfg)
+    u, v, w, d = init
+    u = _project(u, 1, cfg.penalty, c, s)
+    v = u if cfg.symmetric_uv else _project(v, 2, cfg.penalty, c, s)
+    w = _project(w, 3, cfg.penalty, c, s)
+
+    def block_update(zc, factors):
+        u, v, w = factors
+        for _ in range(cfg.max_inner_iters):
+            old = (u, v, w)
+            u = power_update(zc, u, v, w, 1, cfg.penalty, c, s)
+            v = u if cfg.symmetric_uv else power_update(zc, u, v, w, 2, cfg.penalty, c, s)
+            w = power_update(zc, u, v, w, 3, cfg.penalty, c, s)
+            if _factor_change((u, v, w), old) <= cfg.inner_tol:
+                break
+        d = float(ops.rank_one_contract(zc, u, v, w))
+        return (-d, (u, v, -w)) if d < 0.0 else (d, (u, v, w))
+
+    return _mm_passes(x, cfg, mu0, d, (u, v, w), block_update)
+
+
+@pytest.mark.parametrize("masked", [False, True])
+@pytest.mark.parametrize(
+    "penalty,symmetric",
+    [("none", False), ("l1", False), ("l0", False), ("none", True), ("l1", True)],
+)
+def test_rank_one_sweep_matches_three_contraction_reference(penalty, symmetric, masked):
+    x, _ = planted_rank_one(dims=(8, 8, 6) if symmetric else (30, 8, 6), seed=4)
+    if masked:
+        mask = np.random.default_rng(5).random(x.dims) < 0.6
+        x = BinaryTensor(np.where(mask, x.values, 0.0), mask)
+    kw = {"l1": {"c": c_from_ratio(x.dims, 0.6)}, "l0": {"s": s_from_ratio(x.dims, 0.5)}}
+    for passes in (1, 2):
+        cfg = FitConfig(
+            rank=1, penalty=penalty, symmetric_uv=symmetric, max_outer_iters=passes,
+            outer_abs_tol=1e-12, seed=3, **kw.get(penalty, {}),
+        )
+        _, s = _check_config(x, cfg)
+        u, v, w, d, mu0 = _init_power(_base_tensor(x), cfg, s, np.random.default_rng(8), True)
+        got = rank_one_mm_fit(x, cfg, init=(u, v, w, d), mu0=mu0)
+        mu, d, (ru, rv, rw), trace, n_outer, _, _ = _reference_rank_one(x, cfg, (u, v, w, d), mu0)
+        assert got.n_outer == n_outer == passes
+        assert got.mu == mu and got.weight == d
+        for a, b in ((got.u, ru), (got.v, rv), (got.w, rw), (got.trace, np.asarray(trace))):
+            assert np.array_equal(a, b)
+
+
+def test_zero_contraction_in_a_sweep_raises():
+    # logits 0 on data with as many observed ones as zeros make the centred
+    # working tensor +-2 on observed cells and exactly 0 on unobserved ones;
+    # with v and w spikes on an unobserved fiber the mode-1 contraction is 0
+    vals = np.zeros((4, 3, 2))
+    vals[::2] = 1.0
+    mask = np.ones((4, 3, 2), dtype=bool)
+    mask[:, 0, 0] = False
+    x = BinaryTensor(vals, mask)
+    assert 2 * x.values.sum() == x.n_observed
+    init = (np.ones(4), np.eye(3)[0], np.eye(2)[0])
+    with pytest.raises(DegenerateDirectionError, match="mode 1"):
+        rank_one_mm_fit(x, FitConfig(rank=1), init=init, mu0=0.0)
 
 
 def test_rank_one_on_masked_data():

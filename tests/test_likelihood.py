@@ -131,7 +131,11 @@ def test_loss_and_working_matches_references_dense_and_masked():
     theta = rng.standard_normal(shape) * 4.0
     theta.reshape(-1)[:6] = [800.0, -800.0, 745.0, -745.0, 30.0, -30.0]
     vals = (rng.random(shape) < 0.5).astype(float)
-    masks = (np.ones(shape, dtype=bool), rng.random(shape) < 0.8)
+    one_cell, all_but_one = np.zeros(shape, dtype=bool), np.ones(shape, dtype=bool)
+    one_cell.flat[37] = True
+    all_but_one.flat[37] = False
+    masks = [np.ones(shape, dtype=bool), one_cell, all_but_one]
+    masks += [rng.random(shape) < frac for frac in (0.8, 0.45, 0.9)]
     for mask in masks:
         x = BinaryTensor(np.where(mask, vals, 0.0), mask)
         # references from independent formulas, outside the strict error state
@@ -148,6 +152,11 @@ def test_loss_and_working_matches_references_dense_and_masked():
         np.testing.assert_allclose(out, want_z, rtol=0, atol=1e-12)
         # unobserved cells carry theta exactly
         assert np.array_equal(out[~mask], theta[~mask])
+    # dense data takes two plain sums, bit for bit
+    x = BinaryTensor.dense(vals)
+    two_sums = np.log1p(np.exp(-np.abs(theta))).sum()
+    two_sums += np.maximum(theta, 0.0).sum() - ops.inner(vals, theta)
+    assert loss_and_working(x, theta, np.empty(shape)) == loss_and_working(x, theta) == two_sums
 
 
 def test_loss_and_working_rejects_shape_mismatch():
