@@ -188,6 +188,17 @@ def _run_select(args):
 
 
 def _run_complete(args):
+    if args.model:
+        fit_flags = (
+            ("--rank", args.rank),
+            ("--c-ratio", args.c_ratio),
+            ("--s-ratio", args.s_ratio),
+            ("--starts", args.starts),
+            ("--symmetric-uv", args.symmetric_uv or None),
+        )
+        given = [flag for flag, value in fit_flags if value is not None]
+        if given:
+            raise UsageError(f"{', '.join(given)} cannot be combined with --model")
     x = fileio.read_binary_tensor(args.data)
     if x.fully_observed:
         raise UsageError("data has no missing cells to complete")

@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-import scipy.linalg
 
 from . import ops
 from .likelihood import LogitModel, loss_and_working, neg_loglik, sigmoid
@@ -598,7 +597,11 @@ def _leading_left_singular(m, r, rng):
     # the top-r eigenpairs of the smaller Gram matrix: its eigenvalues are
     # the squared singular values of m, and its eigenvectors the left
     # singular vectors (m m^T) or the right ones (m^T m), which m maps to
-    # the left ones
+    # the left ones. scipy's subset eigh is cheaper than numpy's full one at
+    # large p; importing it here, its only use, keeps scipy off every other
+    # command's start-up
+    import scipy.linalg
+
     n, k = m.shape
     wide = n <= k
     gram = m @ m.T if wide else m.T @ m

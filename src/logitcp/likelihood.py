@@ -9,7 +9,6 @@ never contribute to likelihood sums.
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import expit
 
 from . import ops
 
@@ -29,10 +28,19 @@ UNIT_NORM_TOL = 1e-10
 
 
 def sigmoid(t, out=None):
-    """Elementwise logistic function 1/(1 + exp(-t)), stable for large |t|."""
-    if out is None:
-        return expit(t)
-    return expit(t, out)
+    """Elementwise logistic function 1/(1 + exp(-t)).
+
+    This is the formula of scipy.special.expit: below t = -709.78 exp(-t)
+    overflows to inf and the result is 0. A scalar t gives a scalar; with
+    `out`, which may be t itself, the result is written there and returned.
+    """
+    # every step runs in the one buffer negative() returns
+    e = np.asarray(np.negative(t, out=out, dtype=float))
+    with np.errstate(over="ignore"):
+        np.exp(e, out=e)
+    e += 1.0
+    np.divide(1.0, e, out=e)
+    return e if out is not None or e.ndim else e[()]
 
 
 def softplus(t):
@@ -239,8 +247,14 @@ def majorizer_gap(x, theta, anchor):
 
 
 def impute(probs, threshold=0.5):
-    """Hard labels from probabilities; p >= threshold maps to 1 (inclusive)."""
+    """Hard labels from probabilities; p >= threshold maps to 1 (inclusive).
+
+    The threshold must be a finite number in [0, 1].
+    """
     probs = np.asarray(probs, dtype=float)
-    if np.any(probs < 0) or np.any(probs > 1):
+    if not np.all((probs >= 0) & (probs <= 1)):
         raise ValueError("probabilities must lie in [0, 1]")
+    threshold = float(threshold)
+    if not 0.0 <= threshold <= 1.0:
+        raise ValueError(f"threshold must be a finite number in [0, 1], got {threshold!r}")
     return (probs >= threshold).astype(float)

@@ -8,7 +8,6 @@ sorted by nonincreasing weight, so both models are matched index by index.
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import rankdata
 
 from . import ops
 from .selection import NONZERO_TOL
@@ -146,11 +145,24 @@ def roc_points(fits, truth):
     return pts, auc
 
 
+def _average_ranks(a):
+    """1-based ranks of a 1-D array, each tie group taking the mean of its
+    positions (the 'average' method of scipy.stats.rankdata)."""
+    order = np.argsort(a, kind="stable")
+    ranked = a[order]
+    first = np.flatnonzero(np.r_[True, ranked[1:] != ranked[:-1]])
+    end = np.r_[first[1:], a.size]  # one past each group's last position
+    ranks = np.empty(a.size)
+    ranks[order] = np.repeat((first + 1 + end) / 2.0, end - first)
+    return ranks
+
+
 def completion_auc(heldout, probs):
     """Rank-based AUC of predicted probabilities on held-out cells.
 
     heldout: BinaryTensor whose mask marks the scored cells and whose
     values are their true labels. Ties in the scores take average ranks.
+    The scores must be finite.
     """
     probs = np.asarray(probs, dtype=float)
     if probs.shape != heldout.dims:
@@ -159,10 +171,12 @@ def completion_auc(heldout, probs):
         )
     labels = heldout.values[heldout.mask]
     scores = probs[heldout.mask]
+    if not np.all(np.isfinite(scores)):
+        raise ValueError("probs must be finite on the held-out cells")
     n_pos = int(np.sum(labels == 1.0))
     n_neg = int(np.sum(labels == 0.0))
     if n_pos == 0 or n_neg == 0:
         raise ValueError("held-out cells must include both classes")
-    ranks = rankdata(scores)
+    ranks = _average_ranks(scores)
     auc = (np.sum(ranks[labels == 1.0]) - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
     return float(auc)

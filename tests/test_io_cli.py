@@ -550,6 +550,44 @@ def test_cli_complete_usage_errors(sim_file, tmp_path, capsys):
     assert "do not match" in capsys.readouterr().err
 
 
+@pytest.fixture()
+def masked_file(sim_file, tmp_path):
+    kept, _ = simulate.drop_uniform(fileio.read_binary_tensor(sim_file), 0.1, seed=3)
+    data = tmp_path / "masked.txt"
+    fileio.write_binary_tensor(data, kept)
+    return data
+
+
+@pytest.mark.parametrize("threshold", ["nan", "inf", "-0.5", "1.5"])
+def test_cli_complete_rejects_bad_threshold(masked_file, tmp_path, capsys, threshold):
+    model = tmp_path / "m.model"
+    assert run_cli("fit", "--data", masked_file, "--rank", "1", "--out", model) in (0, 3)
+    capsys.readouterr()
+    out = tmp_path / "pred.csv"
+    rc = run_cli("complete", "--data", masked_file, "--model", model,
+                 "--threshold", threshold, "--out", out)
+    assert rc == 2
+    assert "threshold" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [["--rank", "1"], ["--c-ratio", "0.5"], ["--s-ratio", "0.2"], ["--starts", "3"],
+     ["--symmetric-uv"], ["--rank", "2", "--starts", "3"]],
+)
+def test_cli_complete_rejects_fit_flags_with_model(masked_file, tmp_path, capsys, flags):
+    model = tmp_path / "m.model"
+    fileio.write_model(model, small_model())
+    out = tmp_path / "pred.csv"
+    rc = run_cli("complete", "--data", masked_file, "--model", model, *flags, "--out", out)
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "cannot be combined with --model" in err
+    assert all(f in err for f in flags if f.startswith("--"))
+    assert not out.exists()
+
+
 def test_cli_report_with_truth(sim_file, tmp_path, capsys):
     modelfile = tmp_path / "m.model"
     rc = run_cli("fit", "--data", sim_file, "--rank", "1", "--method", "tp",

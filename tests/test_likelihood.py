@@ -39,6 +39,38 @@ def test_sigmoid_out_buffer():
     buf = np.empty_like(t)
     assert sigmoid(t, out=buf) is buf
     np.testing.assert_array_equal(buf, np.full((2, 2), 0.5))
+    # in place, as LogitModel.probs calls it
+    t = np.random.default_rng(4).normal(scale=20.0, size=(6, 5, 4))
+    want = sigmoid(t)
+    assert sigmoid(t, out=t) is t
+    np.testing.assert_array_equal(t, want)
+
+
+def test_sigmoid_within_4_ulp_of_expit():
+    # the same formula as expit, so only exp's last-bit rounding differs
+    t = np.concatenate([np.linspace(-709.0, 709.0, 200_001), [-0.0, 0.0, -745.0, -709.7, 709.7]])
+    got, want = sigmoid(t), expit(t)
+    ulp = np.spacing(np.maximum(got, want))
+    assert np.all(np.abs(got - want) <= 4 * ulp)
+    assert sigmoid(-0.0) == 0.5 and sigmoid(0.0) == 0.5
+    assert sigmoid(709.0) == 1.0
+
+
+def test_sigmoid_is_zero_below_exp_overflow():
+    t = np.array([-709.79, -710.0, -1e4, -1e308, -np.inf])
+    np.testing.assert_array_equal(sigmoid(t), 0.0)
+    assert sigmoid(-709.78) > 0.0
+
+
+def test_sigmoid_nondecreasing():
+    s = sigmoid(np.linspace(-750.0, 750.0, 1_000_001))
+    assert np.all(np.diff(s) >= 0)
+
+
+def test_sigmoid_scalar_in_scalar_out():
+    s = sigmoid(1.5)
+    assert np.ndim(s) == 0 and not isinstance(s, np.ndarray)
+    assert s == expit(1.5)
 
 
 def test_softplus_stable_at_both_tails():
@@ -251,3 +283,14 @@ def test_predict_probs_and_impute():
     np.testing.assert_array_equal(labels, [0.0, 1.0, 1.0])  # 0.5 maps to 1
     with pytest.raises(ValueError):
         impute(np.array([1.2]))
+    with pytest.raises(ValueError, match="probabilities"):
+        impute(np.array([0.2, np.nan]))
+    # both ends of [0, 1] are valid thresholds
+    np.testing.assert_array_equal(impute([0.0, 0.7, 1.0], 0.0), [1.0, 1.0, 1.0])
+    np.testing.assert_array_equal(impute([0.0, 0.7, 1.0], 1.0), [0.0, 0.0, 1.0])
+
+
+@pytest.mark.parametrize("threshold", [np.nan, np.inf, -np.inf, -0.1, 1.5])
+def test_impute_rejects_threshold_outside_unit_interval(threshold):
+    with pytest.raises(ValueError, match="threshold"):
+        impute([0.2, 0.7, 0.9], threshold)

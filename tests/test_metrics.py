@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+from scipy.stats import rankdata
 
 from logitcp.likelihood import BinaryTensor, LogitModel
 from logitcp.metrics import (
+    _average_ranks,
     completion_auc,
     evaluate,
     mean_error,
@@ -147,6 +149,22 @@ def test_completion_auc_matches_pairwise_oracle():
     assert got == pytest.approx(wins / (pos.size * neg.size), abs=1e-12)
 
 
+@pytest.mark.parametrize(
+    "scores",
+    [
+        np.random.default_rng(5).random(50),  # no ties
+        np.random.default_rng(6).integers(0, 4, 200).astype(float),  # heavy ties
+        np.full(7, 0.3),  # all equal
+        np.array([0.25]),
+        np.array([0.9, 0.1]),
+        np.array([0.5, 0.5]),
+        np.array([0.0, -0.0, 1.0, 0.0]),  # signed zeros tie
+    ],
+)
+def test_average_ranks_match_rankdata(scores):
+    np.testing.assert_array_equal(_average_ranks(scores), rankdata(scores))
+
+
 def test_completion_auc_error_paths():
     ones = np.ones((2, 2, 2))
     heldout = BinaryTensor(ones, np.ones((2, 2, 2), dtype=bool))
@@ -157,3 +175,7 @@ def test_completion_auc_error_paths():
     heldout = BinaryTensor(mixed, np.ones((2, 2, 2), dtype=bool))
     with pytest.raises(ValueError, match="shape"):
         completion_auc(heldout, np.full((2, 2, 3), 0.5))
+    probs = np.full((2, 2, 2), 0.5)
+    probs[1, 1, 1] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        completion_auc(heldout, probs)
