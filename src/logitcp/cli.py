@@ -67,7 +67,9 @@ def _run_simulate(args):
 
 
 def _fit_cfg(args, dims):
-    method = args.method
+    """(method, FitConfig) from the fit flags; a flag left out takes the
+    method tp or FitConfig's default."""
+    method = args.method or "tp"
     flags = (("--c-ratio", args.c_ratio, "tsp"), ("--s-ratio", args.s_ratio, "ttp"))
     for flag, ratio, owner in flags:
         if method == owner and ratio is None:
@@ -76,16 +78,11 @@ def _fit_cfg(args, dims):
             raise UsageError(f"{flag} only applies to --method {owner}")
     if args.symmetric_uv and method == "als":
         raise UsageError("--symmetric-uv is only available for tp/tsp/ttp")
-    cfg = decomp.FitConfig(
-        rank=args.rank,
-        n_starts=args.starts,
-        init=args.init,
-        max_outer_iters=args.max_outer,
-        symmetric_uv=args.symmetric_uv,
-        seed=args.seed,
-    )
+    given = dict(rank=args.rank, n_starts=args.starts, init=args.init,
+                 max_outer_iters=args.max_outer, symmetric_uv=args.symmetric_uv, seed=args.seed)
+    cfg = decomp.FitConfig(**{name: v for name, v in given.items() if v is not None})
     ratio = args.c_ratio if method == "tsp" else args.s_ratio
-    return decomp.method_config(cfg, method, dims, ratio)
+    return method, decomp.method_config(cfg, method, dims, ratio)
 
 
 def _config_echo(cfg, method):
@@ -151,11 +148,11 @@ def _fit_report_text(x, report, cfg, method):
 
 def _run_fit(args):
     x = fileio.read_binary_tensor(args.data)
-    cfg = _fit_cfg(args, x.dims)
-    report = decomp.fit(x, cfg, method=args.method)
-    fileio.write_model(args.out, report.model, _model_meta(report, cfg, args.method))
+    method, cfg = _fit_cfg(args, x.dims)
+    report = decomp.fit(x, cfg, method=method)
+    fileio.write_model(args.out, report.model, _model_meta(report, cfg, method))
     fileio.atomic_write_text(
-        args.out + ".report.txt", _fit_report_text(x, report, cfg, args.method)
+        args.out + ".report.txt", _fit_report_text(x, report, cfg, method)
     )
     status = "converged" if report.converged else f"NOT converged ({report.reason})"
     print(f"wrote {args.out} and {args.out}.report.txt; {status}")
@@ -189,14 +186,7 @@ def _run_select(args):
 
 def _run_complete(args):
     if args.model:
-        fit_flags = (
-            ("--rank", args.rank),
-            ("--c-ratio", args.c_ratio),
-            ("--s-ratio", args.s_ratio),
-            ("--starts", args.starts),
-            ("--symmetric-uv", args.symmetric_uv or None),
-        )
-        given = [flag for flag, value in fit_flags if value is not None]
+        given = [f"--{d.replace('_', '-')}" for d in _FIT_FLAGS if getattr(args, d) is not None]
         if given:
             raise UsageError(f"{', '.join(given)} cannot be combined with --model")
     x = fileio.read_binary_tensor(args.data)
@@ -212,8 +202,8 @@ def _run_complete(args):
     else:
         if args.rank is None:
             raise UsageError("complete needs --model or fit flags (--rank, --method)")
-        cfg = _fit_cfg(args, x.dims)
-        report = decomp.fit(x, cfg, method=args.method)
+        method, cfg = _fit_cfg(args, x.dims)
+        report = decomp.fit(x, cfg, method=method)
         model = report.model
         if not report.converged:
             print(f"warning: fit did not converge ({report.reason})", file=sys.stderr)
@@ -295,21 +285,27 @@ def _run_report(args):
 # ----------------------------------------------------------------- parser
 
 
+# the fit flags' destinations; each is None when its flag is left out, and
+# _fit_cfg supplies the default
+_FIT_FLAGS = ("rank", "method", "c_ratio", "s_ratio", "symmetric_uv", "starts", "init",
+             "max_outer", "seed")
+
+
 def _add_fit_flags(p, require_rank):
     p.add_argument("--rank", type=int, required=require_rank)
     p.add_argument(
-        "--method", choices=decomp.METHODS, default="tp",
-        help="als, tp (power), tsp (l1), ttp (l0)",
+        "--method", choices=decomp.METHODS,
+        help="als, tp (power), tsp (l1), ttp (l0); default tp",
     )
     p.add_argument("--c-ratio", type=float, help="l1 budgets c_i = ratio*sqrt(p_i)")
     p.add_argument("--s-ratio", type=float, help="l0 cardinalities s_i = floor(ratio*p_i)")
-    p.add_argument("--symmetric-uv", action="store_true",
+    p.add_argument("--symmetric-uv", action="store_true", default=None,
                    help="tie the first two modes' factors (needs p1 == p2)")
     p.add_argument("--starts", type=int, default=None,
                    help="multi-start pool size (default max(10, rank^3))")
-    p.add_argument("--init", choices=("spectral", "random"), default="spectral")
-    p.add_argument("--max-outer", type=int, default=50)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--init", choices=("spectral", "random"), help="default spectral")
+    p.add_argument("--max-outer", type=int, help="default 50")
+    p.add_argument("--seed", type=int, help="default 0")
 
 
 def _build_parser():

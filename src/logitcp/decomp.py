@@ -35,7 +35,6 @@ __all__ = [
     "l1_project",
     "power_update",
     "rank_one_mm_fit",
-    "offset_update",
     "final_offset",
     "als_fit",
     "multi_start_fit",
@@ -213,6 +212,12 @@ def truncate_top(v, s):
     return out
 
 
+def _norm(a):
+    """np.linalg.norm(a) of a real array by numpy's formula, minus its dispatch cost."""
+    a = a.ravel(order="K")
+    return math.sqrt(a.dot(a))
+
+
 def l1_project(g, c):
     """Unit vector Normalize(S(g, lam)) with l1 norm capped at c.
 
@@ -226,8 +231,8 @@ def l1_project(g, c):
     g = np.asarray(g, dtype=float)
     if c < 1.0:
         raise ValueError(f"l1 budget must be >= 1, got {c}")
-    nrm = np.linalg.norm(g)
-    if nrm == 0.0 or not np.isfinite(nrm):
+    nrm = _norm(g)
+    if nrm == 0.0 or not math.isfinite(nrm):
         raise DegenerateDirectionError("cannot project a zero direction")
     u0 = g / nrm
     if np.abs(u0).sum() <= c:
@@ -258,7 +263,7 @@ def l1_project(g, c):
     else:  # the k active entries are equal and c = sqrt(k): any lam on the segment
         lam = nxt[j]
     shrunk = soft_threshold(g, lam)
-    return shrunk / np.linalg.norm(shrunk)
+    return shrunk / _norm(shrunk)
 
 
 # ------------------------------------------------------------ power steps
@@ -273,8 +278,8 @@ def _project(g, mode, penalty, c, s):
         return l1_project(g, c[mode - 1])
     if penalty == "l0":
         g = truncate_top(g, s[mode - 1])
-    n = np.linalg.norm(g)
-    if n == 0.0 or not np.isfinite(n):
+    n = _norm(g)
+    if n == 0.0 or not math.isfinite(n):
         raise DegenerateDirectionError(f"zero or non-finite direction along mode {mode}")
     return g / n
 
@@ -294,16 +299,6 @@ def power_update(zc, u, v, w, mode, penalty="none", c=None, s=None):
     else:
         raise ValueError(f"mode must be 1, 2 or 3, got {mode}")
     return _project(g, mode, penalty, c, s)
-
-
-def offset_update(y, theta_c):
-    """Exact offset step for the quadratic surrogate: mean of y - theta_c
-    over all cells."""
-    y = np.asarray(y, dtype=float)
-    theta_c = np.asarray(theta_c, dtype=float)
-    if y.shape != theta_c.shape:
-        raise ValueError(f"shape mismatch: {y.shape} vs {theta_c.shape}")
-    return float(y.mean() - theta_c.mean())
 
 
 def final_offset(x, theta_c=None):
@@ -331,9 +326,13 @@ def final_offset(x, theta_c=None):
             )
         tc = theta_c.ravel() if dense else theta_c[x.mask]
     xv = x.values.ravel() if dense else x.values[x.mask]
+    p, r = np.empty((2, xv.size))  # every step works in these two buffers
 
-    def grad(mu):
-        return float(np.sum(xv - sigmoid(mu + tc)))
+    def grad(mu):  # sum of r = x - p, p = sigmoid(mu + tc)
+        np.add(tc, mu, out=p)
+        sigmoid(p, out=p)
+        np.subtract(xv, p, out=r)
+        return float(r.sum())
 
     lo, hi = -40.0, 40.0
     glo, ghi = grad(lo), grad(hi)
@@ -343,15 +342,16 @@ def final_offset(x, theta_c=None):
         return hi
     mu = 0.0
     for _ in range(200):
-        p = sigmoid(mu + tc)
-        g = float(np.sum(xv - p))
+        g = grad(mu)
         if abs(g) < tol:
             return mu
         if g > 0:
             lo = mu
         else:
             hi = mu
-        curve = float(np.sum(p * (1.0 - p)))
+        np.subtract(1.0, p, out=r)  # p still holds grad(mu)'s sigmoid
+        r *= p
+        curve = float(r.sum())
         if curve > 0:
             step = mu + g / curve
         else:
@@ -404,7 +404,7 @@ class FitReport:
 
 def _factor_change(new, old):
     """Largest Frobenius change over the three factors."""
-    return max(np.linalg.norm(a - b) for a, b in zip(new, old))
+    return max(_norm(a - b) for a, b in zip(new, old))
 
 
 def _columns(f):
@@ -415,36 +415,36 @@ def _mm_passes(x, cfg, mu, d, factors, block_update):
     """Outer MM passes shared by every solver.
 
     Starts from the logits of (mu, d, factors). Each pass takes the exact
-    offset step on the working tensor, centers, lets
+    offset step mean(y - theta_c) over all cells, which is
+    mu + 4*sum_obs(x - sigmoid(theta))/N as y - theta_c is mu plus the
+    working tensor's residual term; it centers the working tensor y, lets
     block_update(zc, factors) -> (d, factors) decrease the quadratic
-    surrogate, then reconstructs and scores the logits, building the next
-    pass's working tensor from the same exp(-|theta|). The loop stops when
-    the loss change falls below the absolute or relative tolerance, or when
-    the factor change falls below factor_tol scaled by the square root of
-    the number of components being updated.
+    surrogate, then scores the new logits from the factors, writing the
+    next pass's working tensor and residual sum in the same sweep. The loop
+    stops when the loss change falls below the absolute or relative
+    tolerance, or when the factor change falls below factor_tol scaled by
+    the square root of the number of components being updated.
 
     Returns (mu, d, factors, trace, n_outer, converged, reason); trace holds
     the negative log-likelihood at the start and after each pass.
     """
     scale = math.sqrt(np.size(d))
-    theta = ops.cp_reconstruct(mu, d, *map(_columns, factors))
-    y = np.empty_like(theta)
-    nll_prev = loss_and_working(x, theta, y)
+    y = np.empty(x.dims)
+    nll_prev, resid = loss_and_working(x, (mu, d, *map(_columns, factors)), y)
     trace = [nll_prev]
     converged, reason = False, "maximum outer iterations reached"
     n_outer = 0
     while n_outer < cfg.max_outer_iters:
         n_outer += 1
-        theta -= mu  # theta buffer now holds the centered logits
-        mu = offset_update(y, theta)
+        mu += 4.0 * resid / y.size
         y -= mu  # y buffer now holds the centered working tensor
         old = factors
         d, factors = block_update(y, factors)
-        ops.cp_reconstruct(mu, d, *map(_columns, factors), out=theta)
+        pieces = (mu, d, *map(_columns, factors))
         if n_outer < cfg.max_outer_iters:
-            nll = loss_and_working(x, theta, y)
+            nll, resid = loss_and_working(x, pieces, y)
         else:  # no pass follows, so no working tensor is needed
-            nll = neg_loglik(x, theta)
+            nll = neg_loglik(x, pieces)
         trace.append(nll)
         dn = abs(nll_prev - nll)
         if dn < cfg.outer_abs_tol:
@@ -544,7 +544,8 @@ def _base_tensor(x):
     if not x.fully_observed:
         q[~x.mask] = 0.0
     mu = float(q.mean())
-    return q - mu, mu
+    q -= mu
+    return q, mu
 
 
 def _spectral_pair(q, s, rng):

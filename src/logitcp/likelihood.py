@@ -155,23 +155,16 @@ class LogitModel:
         return sigmoid(t, out=t)
 
 
-def _theta_of(model, dims=None):
-    if isinstance(model, LogitModel):
-        theta = model.theta()
-    else:
-        theta = np.asarray(model, dtype=float)
-    if dims is not None and theta.shape != tuple(dims):
-        raise ValueError(f"logits shape {theta.shape} does not match data {tuple(dims)}")
-    return theta
-
-
 def neg_loglik(x, model):
     """Negative Bernoulli log-likelihood over the observed cells.
 
-    `model` may be a LogitModel or a raw logit tensor. Computed as
+    `model` may be a LogitModel, scored from its factors, its CP pieces
+    (mu, d, U, V, W) or a raw logit tensor. Computed as
     sum softplus(theta) - <x, theta>, the saturated model scoring 0.
     """
-    return loss_and_working(x, _theta_of(model, x.dims))
+    if isinstance(model, LogitModel):
+        model = (model.mu, model.d, model.U, model.V, model.W)
+    return loss_and_working(x, model)
 
 
 def deviance(x, model):
@@ -179,51 +172,77 @@ def deviance(x, model):
     return 2.0 * neg_loglik(x, model)
 
 
+# a block of mode-1 rows holds about this many cells (at least one row), so
+# the block's scratch buffers stay in cache through the elementwise chain
+BLOCK_CELLS = 2**15
+
+
 def loss_and_working(x, theta, out=None):
-    """Negative log-likelihood of the logit tensor theta over the observed
-    cells; with `out`, also the working tensor around theta written into it.
+    """Negative log-likelihood of the logits theta over the observed cells;
+    theta is a logit tensor of x's shape or the CP pieces (mu, d, U, V, W)
+    of one. With `out`, the working tensor around theta is also written
+    into it and (loss, sum over observed cells of x - sigmoid(theta)) is
+    returned. The working tensor holds the quadratic-majorizer targets:
+    observed cells get z = theta + 4*(x - sigmoid(theta)), unobserved cells
+    keep theta, which makes the surrogate ignore them.
 
-    The working tensor holds the quadratic-majorizer targets: observed
-    cells get z = theta + 4*(x - sigmoid(theta)), unobserved cells keep
-    theta, which makes the surrogate ignore them.
-
-    Both come from one e = exp(-|theta|): the loss is
-    sum max(theta, 0) + log1p(e) - <x, theta>, and the working tensor uses
-    sigmoid(theta) = 0.5 + copysign(0.5 - e/(1 + e), theta).
+    Blocks of mode-1 rows of about BLOCK_CELLS cells are scored in turn, CP
+    logits formed per block as (U[a:b] diag(d)) khatri_rao(V, W)^T + mu, so
+    no logit tensor is built. In a block both results come from one
+    e = exp(-|theta|): the loss is sum max(theta, 0) + log1p(e) - <x, theta>,
+    and the working tensor uses sigmoid(theta) = 0.5 + copysign(0.5 - e/(1 + e), theta).
     """
-    theta = _theta_of(theta, x.dims)
-    e = np.abs(theta, out=out)
-    np.negative(e, out=e)
-    with np.errstate(under="ignore"):  # exp(-|theta|) < 1e-308 is 0 to double precision
-        np.exp(e, out=e)
-    # without `out` the loss is all that is asked for, so it may consume e
-    tmp = e if out is None else np.empty_like(e)
+    cp = isinstance(theta, tuple)
+    if cp:
+        mu, d, U, V, W = theta
+        ud = np.asarray(U, dtype=float) * np.asarray(d, dtype=float).reshape(-1)
+        krt = ops.khatri_rao(V, W).T
+        shape = (ud.shape[0], len(V), len(W))
+    else:
+        theta = np.asarray(theta, dtype=float)
+        shape = theta.shape
+    if shape != x.dims:
+        raise ValueError(f"logits shape {shape} does not match data {x.dims}")
+    p1, p2, p3 = shape
+    rows = min(p1, max(1, BLOCK_CELLS // (p2 * p3)))
+    tmp, th_buf = np.empty((2, rows, p2, p3))
     obs = None if x.fully_observed else x.mask
+    nll = resid = 0.0
+    for a in range(0, p1, rows):
+        b = min(a + rows, p1)
+        th, t = (th_buf[: b - a] if cp else theta[a:b]), tmp[: b - a]
+        if cp:
+            np.matmul(ud[a:b], krt, out=th.reshape(b - a, -1))
+            th += mu
+        xb, ob = x.values[a:b], None if obs is None else obs[a:b]
+        # without `out` the loss is all that is asked for, so e may be t
+        e = np.copysign(th, -1.0, out=t if out is None else out[a:b])  # -|theta|
+        with np.errstate(under="ignore"):  # exp(-|theta|) < 1e-308 is 0 to double precision
+            np.exp(e, out=e)
+        np.log1p(e, out=t)
+        nll += _observed_sum(t, ob)
+        np.maximum(th, 0.0, out=t)
+        nll += _observed_sum(t, ob) - np.vdot(xb, th)
+        if out is None:
+            continue
+        np.add(e, 1.0, out=t)
+        np.divide(e, t, out=e)  # sigmoid(-|theta|)
+        np.subtract(0.5, e, out=e)
+        np.copysign(e, th, out=e)
+        e += 0.5  # sigmoid(theta)
+        np.subtract(xb, e, out=e)
+        e *= 4.0
+        resid += _observed_sum(e, ob)
+        e += th
+    return float(nll) if out is None else (float(nll), float(resid) / 4.0)
 
-    def observed_sum(a):
-        # zeroing the unobserved cells of the scratch `a` in place and taking
-        # a plain sum is several times faster than sum(where=obs)
-        if obs is not None:
-            a *= obs
-        return a.sum()
 
-    np.log1p(e, out=tmp)
-    nll = observed_sum(tmp)
-    np.maximum(theta, 0.0, out=tmp)
-    nll += observed_sum(tmp) - ops.inner(x.values, theta)
-    if out is None:
-        return float(nll)
-    np.add(e, 1.0, out=tmp)
-    np.divide(e, tmp, out=e)  # sigmoid(-|theta|)
-    np.subtract(0.5, e, out=e)
-    np.copysign(e, theta, out=e)
-    e += 0.5  # sigmoid(theta)
-    np.subtract(x.values, e, out=e)
-    e *= 4.0
+def _observed_sum(a, obs):
+    # zeroing the unobserved cells of `a` in place and taking a plain sum is
+    # several times faster than sum(where=obs)
     if obs is not None:
-        e *= obs
-    e += theta
-    return float(nll)
+        a *= obs
+    return a.sum()
 
 
 def majorizer_gap(x, theta, anchor):

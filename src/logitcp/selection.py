@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import decomp, ops
+from . import decomp
 from .likelihood import BinaryTensor, LogitModel, neg_loglik, deviance
 
 __all__ = [
@@ -253,34 +253,17 @@ def explained_deviance(x, model):
     """Cumulative and marginal explained deviance per component."""
     if model.rank < 1:
         raise ValueError("explained_deviance needs a model with at least one component")
-    mu0 = decomp.final_offset(x)
-    d0 = deviance(x, np.full(x.dims, mu0))
+
+    def dev(mu, cols):  # deviance of offset mu plus the components in slice cols
+        return deviance(x, (mu, model.d[cols], *(f[:, cols] for f in (model.U, model.V, model.W))))
+
+    d0 = dev(decomp.final_offset(x), slice(0))
     if d0 == 0.0:
         raise ValueError("null deviance is zero; nothing to explain")
-    ladder = [d0]
-    for r in range(1, model.rank + 1):
-        theta_r = ops.cp_reconstruct(
-            model.mu, model.d[:r], model.U[:, :r], model.V[:, :r], model.W[:, :r]
-        )
-        ladder.append(deviance(x, theta_r))
-    ladder = np.asarray(ladder)
+    ladder = np.array([d0] + [dev(model.mu, slice(r)) for r in range(1, model.rank + 1)])
     cumulative = 1.0 - ladder[1:] / d0
     marginal = (ladder[:-1] - ladder[1:]) / d0
-    component_dev = np.array(
-        [
-            deviance(
-                x,
-                ops.cp_reconstruct(
-                    model.mu,
-                    model.d[r : r + 1],
-                    model.U[:, r : r + 1],
-                    model.V[:, r : r + 1],
-                    model.W[:, r : r + 1],
-                ),
-            )
-            for r in range(model.rank)
-        ]
-    )
+    component_dev = np.array([dev(model.mu, slice(r, r + 1)) for r in range(model.rank)])
     return ExplainedDeviance(float(d0), cumulative, marginal, component_dev)
 
 

@@ -23,7 +23,6 @@ from logitcp.decomp import (
     fit_rank_path,
     l1_project,
     multi_start_fit,
-    offset_update,
     power_update,
     rank_one_mm_fit,
     s_from_ratio,
@@ -249,11 +248,33 @@ def test_power_update_penalty_off_matches_plain():
     np.testing.assert_allclose(power_update(z, None, v, w, 1, "l0", s=s), plain, atol=1e-12)
 
 
-def test_offset_update_is_mean_difference():
+@pytest.mark.parametrize("dims", [(3, 4, 2), (70, 30, 40)], ids=["one-block", "three-blocks"])
+@pytest.mark.parametrize("masked", [False, True])
+def test_offset_step_is_mean_of_working_minus_centered_logits(dims, masked):
+    # the pass's offset step mu + 4*sum_obs(x - sigmoid(theta))/N is the exact
+    # surrogate step mean(y - theta_c) over all cells, y the working tensor
     rng = np.random.default_rng(3)
-    theta_c = rng.standard_normal((3, 4, 2))
-    assert offset_update(theta_c + 3.0, theta_c) == pytest.approx(3.0, abs=1e-12)
-    assert offset_update(theta_c, theta_c) == pytest.approx(0.0, abs=1e-12)
+    d = np.array([4.0, 1.5])
+    U, V, W = (np.linalg.qr(rng.standard_normal((p, 2)))[0] for p in dims)
+    mu0 = -0.7
+    theta_c = ops.cp_reconstruct(0.0, d, U, V, W)
+    theta = theta_c + mu0
+    vals = (rng.random(dims) < sigmoid(theta)).astype(float)
+    mask = rng.random(dims) < (0.6 if masked else 1.1)
+    x = BinaryTensor(np.where(mask, vals, 0.0), mask)
+    y = np.where(mask, theta + 4.0 * (x.values - sigmoid(theta)), theta)
+    want = float(np.mean(y - theta_c))
+    seen = []
+
+    def block_update(zc, factors):
+        seen.append(zc.copy())
+        return d, factors
+
+    cfg = FitConfig(rank=2, max_outer_iters=1)
+    mu = _mm_passes(x, cfg, mu0, d, (U, V, W), block_update)[0]
+    assert mu == pytest.approx(want, rel=1e-12, abs=1e-12)
+    # the block update sees the working tensor centered at the new offset
+    np.testing.assert_allclose(seen[0], y - mu, rtol=0, atol=1e-12)
 
 
 def test_final_offset_symmetry_and_saturation():

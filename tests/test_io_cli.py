@@ -574,7 +574,9 @@ def test_cli_complete_rejects_bad_threshold(masked_file, tmp_path, capsys, thres
 @pytest.mark.parametrize(
     "flags",
     [["--rank", "1"], ["--c-ratio", "0.5"], ["--s-ratio", "0.2"], ["--starts", "3"],
-     ["--symmetric-uv"], ["--rank", "2", "--starts", "3"]],
+     ["--symmetric-uv"], ["--rank", "2", "--starts", "3"], ["--method", "tp"],
+     ["--init", "spectral"], ["--max-outer", "50"], ["--seed", "0"],
+     ["--method", "als", "--init", "random", "--max-outer", "3", "--seed", "9"]],
 )
 def test_cli_complete_rejects_fit_flags_with_model(masked_file, tmp_path, capsys, flags):
     model = tmp_path / "m.model"
@@ -586,6 +588,26 @@ def test_cli_complete_rejects_fit_flags_with_model(masked_file, tmp_path, capsys
     assert "cannot be combined with --model" in err
     assert all(f in err for f in flags if f.startswith("--"))
     assert not out.exists()
+
+
+def test_cli_fit_flags_left_out_take_the_defaults(masked_file, tmp_path, capsys):
+    bare, spelled = tmp_path / "bare.model", tmp_path / "spelled.model"
+    assert run_cli("fit", "--data", masked_file, "--rank", "1", "--out", bare) in (0, 3)
+    rc = run_cli("fit", "--data", masked_file, "--rank", "1", "--method", "tp",
+                 "--init", "spectral", "--max-outer", "50", "--seed", "0", "--out", spelled)
+    assert rc in (0, 3)
+    assert bare.read_bytes() == spelled.read_bytes()
+    meta = fileio.read_model(bare)[1]
+    assert meta["method"] == "tp"
+    for echo in ("init=spectral", "max_outer_iters=50", "seed=0"):
+        assert echo in meta["config"].split()
+    # complete fits with the same defaults when no --model is given
+    out = tmp_path / "pred.csv"
+    assert run_cli("complete", "--data", masked_file, "--rank", "1", "--out", out) in (0, 3)
+    probs = fileio.read_model(bare)[0].probs()
+    first = out.read_text().splitlines()[1].split(",")
+    i, j, k = (int(v) - 1 for v in first[:3])
+    assert float(first[3]) == float(probs[i, j, k])
 
 
 def test_cli_report_with_truth(sim_file, tmp_path, capsys):

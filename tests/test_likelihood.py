@@ -8,6 +8,7 @@ from scipy.special import expit
 
 from logitcp import ops
 from logitcp.likelihood import (
+    BLOCK_CELLS,
     BinaryTensor,
     LogitModel,
     deviance,
@@ -146,12 +147,12 @@ def test_working_tensor_unobserved_cells_keep_theta():
 
 
 def test_working_tensor_out_buffer():
-    # the working tensor goes into `out` in full; the return value is the
-    # loss, the same with or without `out`
+    # the working tensor goes into `out` in full; with `out` the return value
+    # is (loss, residual sum), the loss the same as without `out`
     x = dense(np.ones((2, 2, 2)))
     theta = np.zeros((2, 2, 2))
     buf = np.full_like(theta, np.nan)
-    assert loss_and_working(x, theta, buf) == loss_and_working(x, theta)
+    assert loss_and_working(x, theta, buf) == (loss_and_working(x, theta), 4.0)
     np.testing.assert_array_equal(buf, np.full((2, 2, 2), 2.0))
 
 
@@ -173,12 +174,14 @@ def test_loss_and_working_matches_references_dense_and_masked():
         # references from independent formulas, outside the strict error state
         want_nll = float(np.sum(np.logaddexp(0.0, theta[mask])) - vals[mask] @ theta[mask])
         want_z = np.where(mask, theta + 4.0 * (x.values - expit(theta)), theta)
+        want_resid = float(np.sum(vals[mask] - expit(theta[mask])))
         out = np.empty(shape)
         with np.errstate(all="raise"):
-            nll = loss_and_working(x, theta, out)
+            nll, resid = loss_and_working(x, theta, out)
             loss_only = loss_and_working(x, theta)
             plain_nll = neg_loglik(x, theta)
         assert nll == pytest.approx(want_nll, rel=1e-12)
+        assert resid == pytest.approx(want_resid, rel=1e-12, abs=1e-12)
         assert loss_only == nll
         assert plain_nll == pytest.approx(nll, rel=1e-12)
         np.testing.assert_allclose(out, want_z, rtol=0, atol=1e-12)
@@ -188,7 +191,77 @@ def test_loss_and_working_matches_references_dense_and_masked():
     x = BinaryTensor.dense(vals)
     two_sums = np.log1p(np.exp(-np.abs(theta))).sum()
     two_sums += np.maximum(theta, 0.0).sum() - ops.inner(vals, theta)
-    assert loss_and_working(x, theta, np.empty(shape)) == loss_and_working(x, theta) == two_sums
+    assert loss_and_working(x, theta, np.empty(shape))[0] == loss_and_working(x, theta) == two_sums
+
+
+def _whole_array_scoring(x, theta):
+    """The unblocked scoring chain on the whole logit tensor, operation for
+    operation: (loss, working tensor, residual sum)."""
+    with np.errstate(under="ignore"):
+        e = np.exp(-np.abs(theta))
+    r = 4.0 * (x.values - (0.5 + np.copysign(0.5 - e / (1.0 + e), theta)))
+    if not x.fully_observed:
+        r = r * x.mask
+    loss = (np.log1p(e) + np.maximum(theta, 0.0))[x.mask].sum() - ops.inner(x.values, theta)
+    return loss, theta + r, r.sum() / 4.0
+
+
+def _blockwise_logits(pieces, rows):
+    # each block's logits (U[a:b] diag(d)) khatri_rao(V, W)^T + mu; a matmul
+    # over fewer rows may round differently from one over the whole of U
+    mu, d, U, V, W = pieces
+    krt = ops.khatri_rao(V, W).T
+    blocks = [(U[a : a + rows] * d) @ krt + mu for a in range(0, U.shape[0], rows)]
+    return np.concatenate(blocks).reshape(U.shape[0], V.shape[0], W.shape[0])
+
+
+def _unit_columns(rng, p, r):
+    f = rng.standard_normal((p, r))
+    return f / np.linalg.norm(f, axis=0)
+
+
+@pytest.mark.parametrize(
+    "dims, n_blocks",
+    [((70, 30, 40), 3), ((3, 200, 200), 3), ((5, 4, 3), 1)],
+    ids=["blocks-with-remainder", "row-wider-than-block", "one-block"],
+)
+@pytest.mark.parametrize("rank", [0, 1, 3])
+@pytest.mark.parametrize("masking", ["dense", "masked", "empty-first-block"])
+def test_blocked_scoring_matches_whole_array_chain(dims, n_blocks, rank, masking):
+    rng = np.random.default_rng(rank + 7 * len(masking))
+    rows = max(1, BLOCK_CELLS // (dims[1] * dims[2]))  # mode-1 rows per block
+    assert -(-dims[0] // rows) == n_blocks
+    mask = np.ones(dims, dtype=bool)
+    if masking != "dense":
+        mask = rng.random(dims) < 0.7
+    if masking == "empty-first-block":
+        mask[:rows] = False
+        mask[-1, 0, 0] = True
+    mus = (0.3, 30.0, -745.0, 800.0) if rank == 0 else (0.3,)
+    d = np.sort(rng.uniform(2.0, 9.0, rank))[::-1]
+    U, V, W = (_unit_columns(rng, p, rank) for p in dims)
+    for mu in mus:
+        pieces = (mu, d, U, V, W)
+        theta = ops.cp_reconstruct(*pieces)
+        if rank:  # raw-array input also gets cells where exp(-|theta|) is tiny or 0
+            theta.reshape(-1)[:6] = [800.0, -800.0, 745.0, -745.0, 30.0, -30.0]
+        vals = (rng.random(dims) < 0.5).astype(float)
+        x = BinaryTensor(np.where(mask, vals, 0.0), mask)
+        blockwise = _blockwise_logits(pieces, rows)
+        np.testing.assert_allclose(blockwise, ops.cp_reconstruct(*pieces), rtol=1e-14, atol=1e-14)
+        for given, logits in ((theta, theta), (pieces, blockwise)):
+            want_nll, want_z, want_resid = _whole_array_scoring(x, logits)
+            out = np.full(dims, np.nan)
+            with np.errstate(all="raise"):
+                nll, resid = loss_and_working(x, given, out)
+                loss_only = loss_and_working(x, given)
+            assert np.array_equal(out, want_z)
+            assert loss_only == nll
+            assert nll == pytest.approx(want_nll, rel=1e-12)
+            assert resid == pytest.approx(want_resid, rel=1e-12, abs=1e-12)
+            if rank:
+                m = LogitModel(mu, d, U, V, W)
+                assert neg_loglik(x, m) == pytest.approx(neg_loglik(x, m.theta()), rel=1e-12)
 
 
 def test_loss_and_working_rejects_shape_mismatch():
