@@ -111,7 +111,10 @@ def c_from_ratio(dims, ratio):
 
 def s_from_ratio(dims, ratio):
     """Per-mode l0 cardinalities s_i = floor(ratio * p_i)."""
-    return tuple(int(math.floor(float(ratio) * p)) for p in dims)
+    ratio = float(ratio)
+    if not math.isfinite(ratio):
+        raise ValueError(f"l0 ratio {ratio} is not finite")
+    return tuple(int(math.floor(ratio * p)) for p in dims)
 
 
 def _penalty_of(method):
@@ -470,28 +473,20 @@ def _random_unit(rng, p):
             return g / n
 
 
-def rank_one_mm_fit(x, cfg, init=None, mu0=None, rng=None):
+def rank_one_mm_fit(x, cfg, init, mu0=None):
     """MM fit of a single rank-one logit component (power-method family).
 
-    init: (u, v, w) directions or (u, v, w, d) with a starting weight;
-    None draws one according to cfg.init from rng (default: a stream of
-    cfg.seed). Each start vector is projected onto its mode's feasible set
-    first, so a zero one raises DegenerateDirectionError, as does a zero
-    contraction in a later power step. mu0 defaults to the mean of
-    2x - 1 over all cells (unobserved zero-filled). The returned trace
-    holds the negative log-likelihood at the start and after each outer
-    pass.
+    init: (u, v, w) directions, starting at weight 0, or (u, v, w, d) with
+    a starting weight; the multi-start pools draw it. Each start vector is
+    projected onto its mode's feasible set first, so a zero one raises
+    DegenerateDirectionError, as does a zero contraction in a later power
+    step. mu0 defaults to the mean of 2x - 1 over all cells (unobserved
+    zero-filled). The returned trace holds the negative log-likelihood at
+    the start and after each outer pass.
     """
     c, s = _check_config(x, cfg)
-    if init is None:
-        if rng is None:
-            rng = _rng(cfg.seed, 9)
-        u, v, w, d, mu_init = _init_power(_base_tensor(x), cfg, s, rng, cfg.init == "spectral")
-        if mu0 is None:
-            mu0 = mu_init
-    else:
-        u, v, w = (np.asarray(f, dtype=float) for f in init[:3])
-        d = float(init[3]) if len(init) == 4 else 0.0
+    u, v, w = (np.asarray(f, dtype=float) for f in init[:3])
+    d = float(init[3]) if len(init) == 4 else 0.0
     u = _project(u, 1, cfg.penalty, c, s)
     v = u if cfg.symmetric_uv else _project(v, 2, cfg.penalty, c, s)
     w = _project(w, 3, cfg.penalty, c, s)
@@ -856,11 +851,9 @@ def _report_from_components(x, cfg, rank, comps, n_starts_used, start_traces):
 # ------------------------------------------------------------- dispatcher
 
 
-def fit(x, cfg, method=None):
+def fit(x, cfg, method):
     """Fit by method name: "als", "tp" (unpenalized power), "tsp" (l1) or
-    "ttp" (l0). method None infers it from cfg.penalty (power family)."""
-    if method is None:
-        method = _POWER_METHODS[cfg.penalty]
+    "ttp" (l0). cfg.penalty must be the method's penalty."""
     expected = _penalty_of(method)
     if cfg.penalty != expected:
         raise ValueError(

@@ -174,8 +174,11 @@ def read_tensor(path):
             raise ValueError(f"{path}: bad dims line {header!r}") from None
         if min(dims) < 1:
             raise ValueError(f"{path}: dims must be positive, got {dims}")
-        values = np.zeros(dims)
-        mask = np.zeros(dims, dtype=bool)
+        try:
+            values = np.zeros(dims)
+            mask = np.zeros(dims, dtype=bool)
+        except MemoryError:
+            raise ValueError(f"{path}: dims {dims} too large to hold in memory") from None
         if _scatter_records(fh, dims, values.reshape(-1), mask.reshape(-1)):
             return values, mask
     return _walk_records(path, dims)

@@ -19,7 +19,6 @@ __all__ = [
     "weight_error",
     "tpr_fpr",
     "evaluate",
-    "roc_points",
     "completion_auc",
 ]
 
@@ -123,26 +122,6 @@ def evaluate(fit, truth):
         per_mode=per_mode,
         notes=notes,
     )
-
-
-def roc_points(fits, truth):
-    """Support-recovery ROC across a sweep of fitted models.
-
-    Each fit contributes its (FPR, TPR) point; points are sorted by FPR,
-    anchored at (0, 0) and (1, 1), and scored by the trapezoid rule.
-    Returns (points, auc).
-    """
-    if len(fits) < 2:
-        raise ValueError("need at least two fits for a sweep")
-    pts = []
-    for f in fits:
-        tpr, fpr, _, _ = tpr_fpr(f, truth)
-        pts.append((float(fpr), float(tpr)))
-    pts = sorted(set(pts + [(0.0, 0.0), (1.0, 1.0)]))
-    xs = np.array([p[0] for p in pts])
-    ys = np.array([p[1] for p in pts])
-    auc = float(np.sum((xs[1:] - xs[:-1]) * (ys[1:] + ys[:-1]) / 2.0))
-    return pts, auc
 
 
 def _average_ranks(a):

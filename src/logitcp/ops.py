@@ -24,7 +24,6 @@ __all__ = [
     "hadamard",
     "cp_reconstruct",
     "frob_norm",
-    "inner",
 ]
 
 
@@ -121,11 +120,10 @@ def hadamard(a, b):
     return np.multiply(a, b)
 
 
-def cp_reconstruct(mu, d, U, V, W, out=None):
-    """Dense logits mu + sum_r d_r u_r o v_r o w_r.
+def cp_reconstruct(mu, d, U, V, W):
+    """Dense logits mu + sum_r d_r u_r o v_r o w_r, C-ordered.
 
-    Computed as the (p1, p2*p3) product (U diag(d)) khatri_rao(V, W)^T; a
-    C-ordered `out` receives it directly, any other layout by one copy.
+    Computed as the (p1, p2*p3) product (U diag(d)) khatri_rao(V, W)^T.
     Empty d (rank 0) gives the constant tensor mu.
     """
     d = np.asarray(d, dtype=float).reshape(-1)
@@ -139,15 +137,7 @@ def cp_reconstruct(mu, d, U, V, W, out=None):
                 f"{name} has shape {f.shape}, expected ({name} rows, {r}) to match d"
             )
     dims = (U.shape[0], V.shape[0], W.shape[0])
-    if out is None:
-        out = np.empty(dims)
-    elif out.shape != dims:
-        raise ValueError(f"out has shape {out.shape}, expected {dims}")
-    lhs, rhs = U * d, khatri_rao(V, W).T
-    if out.flags.c_contiguous:
-        np.matmul(lhs, rhs, out=out.reshape(dims[0], -1))
-    else:
-        out[...] = (lhs @ rhs).reshape(dims)
+    out = ((U * d) @ khatri_rao(V, W).T).reshape(dims)
     out += mu
     return out
 
@@ -156,11 +146,3 @@ def frob_norm(t):
     """Frobenius norm of an array of any shape."""
     return float(np.linalg.norm(np.asarray(t, dtype=float).ravel()))
 
-
-def inner(a, b):
-    """Frobenius inner product <a, b>."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.shape != b.shape:
-        raise ValueError(f"inner operands differ in shape: {a.shape} vs {b.shape}")
-    return float(np.vdot(a, b))

@@ -79,15 +79,18 @@ class GroundTruth:
 def scenario(name, snr=None, scale=1.0, **overrides):
     """Published benchmark configuration by name ("I".."IV").
 
-    scale shrinks or grows the first mode only (the published designs vary
-    p1); snr overrides the published signal-to-noise values. Remaining
-    SimConfig fields can be overridden by keyword.
+    scale (finite, > 0) shrinks or grows the first mode only (the published
+    designs vary p1); snr overrides the published signal-to-noise values.
+    Remaining SimConfig fields can be overridden by keyword.
     """
     key = str(name).upper()
     if key not in SCENARIOS:
         raise ValueError(f"unknown scenario {name!r}; expected one of {sorted(SCENARIOS)}")
+    scale = float(scale)
+    if not (math.isfinite(scale) and scale > 0):
+        raise ValueError(f"scale must be finite and positive, got {scale}")
     dims, rank, snr_default = SCENARIOS[key]
-    p1 = max(1, int(round(dims[0] * float(scale))))
+    p1 = max(1, int(round(dims[0] * scale)))
     return SimConfig(
         dims=(p1, dims[1], dims[2]),
         rank=rank,

@@ -301,6 +301,19 @@ def test_final_offset_matches_grid_oracle():
 # ----------------------------------------------------------- rank-one MM
 
 
+def power_start(x, cfg, spectral, seed=None):
+    """A rank-one start (u, v, w, d, mu) as the multi-start pools draw it,
+    from the stream of `seed` (default cfg.seed)."""
+    rng = np.random.default_rng(cfg.seed if seed is None else seed)
+    return _init_power(_base_tensor(x), cfg, cfg.s, rng, spectral)
+
+
+def mm_fit(x, cfg, seed=None):
+    """rank_one_mm_fit from a power_start of cfg.init's kind."""
+    u, v, w, d, mu = power_start(x, cfg, cfg.init == "spectral", seed)
+    return rank_one_mm_fit(x, cfg, init=(u, v, w, d), mu0=mu)
+
+
 def test_rank_one_traces_monotone_all_penalties_and_inits():
     x, (u, v, w) = planted_rank_one()
     c_or = tuple(float(np.abs(f).sum()) for f in (u, v, w))
@@ -309,7 +322,7 @@ def test_rank_one_traces_monotone_all_penalties_and_inits():
         for penalty, kw in (("none", {}), ("l1", {"c": c_or}), ("l0", {"s": s_or})):
             for init in ("spectral", "random"):
                 cfg = FitConfig(rank=1, penalty=penalty, init=init, seed=seed, **kw)
-                f = rank_one_mm_fit(x, cfg)
+                f = mm_fit(x, cfg)
                 steps = np.diff(f.trace)
                 assert steps.size == 0 or steps.max() <= MONOTONE_SLACK
                 assert f.weight >= 0.0
@@ -320,8 +333,8 @@ def test_rank_one_traces_monotone_all_penalties_and_inits():
 def test_rank_one_fit_is_deterministic():
     x, _ = planted_rank_one()
     cfg = FitConfig(rank=1, seed=11)
-    a = rank_one_mm_fit(x, cfg)
-    b = rank_one_mm_fit(x, cfg)
+    a = mm_fit(x, cfg)
+    b = mm_fit(x, cfg)
     assert np.array_equal(a.trace, b.trace)
     assert np.array_equal(a.u, b.u) and np.array_equal(a.v, b.v) and np.array_equal(a.w, b.w)
     assert a.mu == b.mu and a.weight == b.weight
@@ -331,7 +344,7 @@ def test_rank_one_respects_l0_cardinalities():
     x, _ = planted_rank_one()
     s = (5, 2, 2)
     cfg = FitConfig(rank=1, penalty="l0", s=s, seed=3)
-    f = rank_one_mm_fit(x, cfg)
+    f = mm_fit(x, cfg)
     for vec, si in zip((f.u, f.v, f.w), s):
         assert int(np.sum(np.abs(vec) > 1e-10)) <= si
 
@@ -340,7 +353,7 @@ def test_rank_one_respects_l1_budgets():
     x, _ = planted_rank_one()
     c = (2.5, 1.4, 1.3)
     cfg = FitConfig(rank=1, penalty="l1", c=c, seed=3)
-    f = rank_one_mm_fit(x, cfg)
+    f = mm_fit(x, cfg)
     for vec, ci in zip((f.u, f.v, f.w), c):
         assert np.abs(vec).sum() <= ci + 1e-6
 
@@ -446,7 +459,7 @@ def test_rank_one_on_masked_data():
     mask.ravel()[0] = True
     vals = np.where(mask, x_full.values, 0.0)
     x = BinaryTensor(vals, mask)
-    f = rank_one_mm_fit(x, FitConfig(rank=1, seed=2))
+    f = mm_fit(x, FitConfig(rank=1, seed=2))
     steps = np.diff(f.trace)
     assert steps.size == 0 or steps.max() <= MONOTONE_SLACK
     theta = ops.cp_reconstruct(
@@ -456,11 +469,6 @@ def test_rank_one_on_masked_data():
 
 
 # -------------------------------------------------------------- init makers
-
-
-def power_start(x, cfg, spectral):
-    """A rank-one start (u, v, w, d, mu) as the multi-start pools draw it."""
-    return _init_power(_base_tensor(x), cfg, cfg.s, np.random.default_rng(cfg.seed), spectral)
 
 
 def test_spectral_init_recovers_sign_tensor_direction():
@@ -486,8 +494,8 @@ def test_init_shapes_and_determinism():
     for u, v, w, d, mu in (a, power_start(x, cfg, spectral=True)):
         assert u.shape == (x.dims[0],) and v.shape == (x.dims[1],) and w.shape == (x.dims[2],)
         assert d > 0 and np.isfinite(mu)
-    with pytest.raises(ValueError):
-        rank_one_mm_fit(x, FitConfig(rank=1, init="other"))
+    with pytest.raises(ValueError, match="unknown init"):
+        mm_fit(x, FitConfig(rank=1, init="other"))
 
 
 def test_l0_inits_are_feasible():
@@ -521,8 +529,7 @@ def test_multi_start_single_start_matches_rank_one_plus_offset():
     cfg = FitConfig(rank=1, n_starts=1, seed=6)
     report = multi_start_fit(x, cfg)
     # the pipeline re-estimates from the winning start; mirror it manually
-    rng = np.random.default_rng((6, 1, 0))
-    first = rank_one_mm_fit(x, cfg, rng=rng)
+    first = mm_fit(x, cfg, seed=(6, 1, 0))
     re = rank_one_mm_fit(
         x, cfg, init=(first.u, first.v, first.w, first.weight), mu0=first.mu
     )
@@ -625,7 +632,7 @@ STOP_REASONS = {
 
 def _stop_run(solver, x, **tols):
     if solver == "rank_one":
-        f = rank_one_mm_fit(x, FitConfig(rank=1, seed=1, **tols))
+        f = mm_fit(x, FitConfig(rank=1, seed=1, **tols))
         return f.converged, f.reason, len(f.trace) - 1
     report = als_fit(x, FitConfig(rank=2, seed=1, **tols))
     return report.converged, report.reason, len(report.loss_trace) - 1
@@ -648,8 +655,8 @@ def test_fit_dispatch_and_config_validation():
     x, _ = planted_rank_one(dims=(12, 6, 5))
     r = fit(x, FitConfig(rank=1, seed=0, n_starts=2), "tp")
     assert r.method == "tp"
-    inferred = fit(x, FitConfig(rank=1, penalty="l0", s=(3, 2, 2), seed=0, n_starts=2))
-    assert inferred.method == "ttp"
+    r = fit(x, FitConfig(rank=1, penalty="l0", s=(3, 2, 2), seed=0, n_starts=2), "ttp")
+    assert r.method == "ttp"
     with pytest.raises(ValueError):
         fit(x, FitConfig(rank=1), "nope")
     with pytest.raises(ValueError):
@@ -669,3 +676,6 @@ def test_ratio_helpers():
     np.testing.assert_allclose(c_from_ratio(dims, 0.5), (2.0, 1.5, 1.0), atol=1e-12)
     assert s_from_ratio(dims, 0.5) == (8, 4, 2)
     assert s_from_ratio(dims, 1.0) == dims
+    for bad in (np.inf, -np.inf, np.nan):
+        with pytest.raises(ValueError, match="finite"):
+            s_from_ratio(dims, bad)

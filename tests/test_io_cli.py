@@ -386,6 +386,47 @@ def test_cli_simulate_usage_errors(tmp_path, capsys):
     assert rc == 2  # snr must be positive
 
 
+# dims of 10^6 per mode ask for 8e18 bytes: more than any address space
+# maps, so the allocation fails at once on every host
+HUGE_DIMS = "dims 1000000 1000000 1000000\n1 1 1 1\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("fit", "--data", "{sim}", "--rank", "1", "--method", "ttp", "--s-ratio", "inf"),
+        ("select", "--data", "{sim}", "--ranks", "1", "--method", "ttp", "--ratios", "inf"),
+        ("simulate", "--scenario", "I", "--scale", "inf"),
+        ("simulate", "--scenario", "I", "--scale", "-1"),
+        ("fit", "--data", "{huge}", "--rank", "1"),
+        ("select", "--data", "{huge}", "--ranks", "1"),
+        ("complete", "--data", "{huge}", "--rank", "1"),
+    ],
+    ids=["fit-s-ratio-inf", "select-ratios-inf", "scale-inf", "scale-negative",
+         "fit-huge-dims", "select-huge-dims", "complete-huge-dims"],
+)
+def test_cli_rejects_unusable_values_with_exit_2(argv, sim_file, tmp_path, capsys):
+    huge = tmp_path / "huge.txt"
+    huge.write_text(HUGE_DIMS)
+    assert run_cli(*(a.format(sim=sim_file, huge=huge) for a in argv),
+                   "--out", tmp_path / "out") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    if "{huge}" in argv:
+        assert f"{huge}: dims (1000000, 1000000, 1000000) too large" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_select_marks_a_non_finite_ratio_failed(sim_file, tmp_path):
+    out = tmp_path / "scores.csv"
+    assert run_cli("select", "--data", sim_file, "--ranks", "1", "--method", "ttp",
+                   "--ratios", "0.5,inf", "--starts", "4", "--seed", "0", "--out", out) == 0
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    assert [(r[1], r[5], r[7]) for r in rows if r[1] == "inf"] == [
+        ("inf", "0", "failed: l0 ratio inf is not finite")
+    ]
+
+
 def test_cli_fit_converged_run_and_outputs(sim_file, tmp_path, capsys):
     out = tmp_path / "fit.model"
     rc = run_cli("fit", "--data", sim_file, "--rank", "1", "--method", "tp",

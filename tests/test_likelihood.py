@@ -190,7 +190,7 @@ def test_loss_and_working_matches_references_dense_and_masked():
     # dense data takes two plain sums, bit for bit
     x = BinaryTensor.dense(vals)
     two_sums = np.log1p(np.exp(-np.abs(theta))).sum()
-    two_sums += np.maximum(theta, 0.0).sum() - ops.inner(vals, theta)
+    two_sums += np.maximum(theta, 0.0).sum() - np.vdot(vals, theta)
     assert loss_and_working(x, theta, np.empty(shape))[0] == loss_and_working(x, theta) == two_sums
 
 
@@ -202,7 +202,7 @@ def _whole_array_scoring(x, theta):
     r = 4.0 * (x.values - (0.5 + np.copysign(0.5 - e / (1.0 + e), theta)))
     if not x.fully_observed:
         r = r * x.mask
-    loss = (np.log1p(e) + np.maximum(theta, 0.0))[x.mask].sum() - ops.inner(x.values, theta)
+    loss = (np.log1p(e) + np.maximum(theta, 0.0))[x.mask].sum() - np.vdot(x.values, theta)
     return loss, theta + r, r.sum() / 4.0
 
 

@@ -10,7 +10,6 @@ from logitcp.metrics import (
     completion_auc,
     evaluate,
     mean_error,
-    roc_points,
     rmse,
     tpr_fpr,
     weight_error,
@@ -105,22 +104,6 @@ def test_evaluate_bundles_the_individual_metrics():
     assert (rep.tpr, rep.fpr) == (t, f)
     np.testing.assert_equal(rep.per_mode, per_mode)  # nan-tolerant
     assert rep.notes == notes
-
-
-def test_roc_points_corners_and_auc():
-    truth = rank_one(0.0, 3.0, [1, 1, 0, 0], [1, 0, 0], [1, 0])
-    perfect = rank_one(0.0, 3.0, [1, 2, 0, 0], [2, 0, 0], [3, 0])
-    dense = rank_one(0.0, 3.0, [1, 1, 1, 1], [1, 1, 1], [1, 1])
-    inverted = rank_one(0.0, 3.0, [0, 0, 1, 1], [0, 1, 1], [0, 1])
-    pts, auc = roc_points([perfect, dense], truth)
-    assert pts == [(0.0, 0.0), (0.0, 1.0), (1.0, 1.0)]
-    assert auc == pytest.approx(1.0, abs=1e-12)
-    # a perfect point plus a fully inverted one bracket the diagonal
-    pts, auc = roc_points([perfect, inverted], truth)
-    assert pts == [(0.0, 0.0), (0.0, 1.0), (1.0, 0.0), (1.0, 1.0)]
-    assert auc == pytest.approx(0.5, abs=1e-12)
-    with pytest.raises(ValueError, match="at least two"):
-        roc_points([perfect], truth)
 
 
 def test_completion_auc_extremes():

@@ -167,44 +167,13 @@ def test_cp_reconstruct_matches_loop():
                 for k in range(5):
                     want[i, j, k] += d[r] * U[i, r] * V[j, r] * W[k, r]
     np.testing.assert_allclose(got, want, atol=1e-12)
+    assert got.flags.c_contiguous
 
 
 def test_cp_reconstruct_rank_zero_is_constant():
     got = ops.cp_reconstruct(1.5, [], np.zeros((3, 0)), np.zeros((4, 0)), np.zeros((5, 0)))
     np.testing.assert_array_equal(got, np.full((3, 4, 5), 1.5))
-
-
-def test_cp_reconstruct_out_buffer_is_used():
-    rng = np.random.default_rng(5)
-    d = np.array([1.0])
-    U, V, W = rng.standard_normal((3, 1)), rng.standard_normal((4, 1)), rng.standard_normal((5, 1))
-    buf = np.empty((3, 4, 5))
-    out = ops.cp_reconstruct(0.0, d, U, V, W, out=buf)
-    assert out is buf
-
-
-def test_cp_reconstruct_fills_any_out_layout():
-    rng = np.random.default_rng(10)
-    d = np.array([2.0, 0.5])
-    U = rng.standard_normal((3, 2))
-    V = rng.standard_normal((4, 2))
-    W = rng.standard_normal((5, 2))
-    want = ops.cp_reconstruct(-0.25, d, U, V, W)
-    assert want.flags.c_contiguous
-    for buf in (np.empty((3, 4, 5)), np.empty((3, 4, 5), order="F"),
-                np.empty((4, 3, 5)).transpose(1, 0, 2)):
-        got = ops.cp_reconstruct(-0.25, d, U, V, W, out=buf)
-        assert got is buf
-        np.testing.assert_allclose(buf, want, atol=1e-12)
-    with pytest.raises(ValueError):
-        ops.cp_reconstruct(0.0, d, U, V, W, out=np.empty((3, 4, 4)))
-
-
-def test_cp_reconstruct_rank_zero_into_out():
-    for order in ("C", "F"):
-        buf = np.full((3, 4, 5), np.nan, order=order)
-        ops.cp_reconstruct(1.5, [], np.zeros((3, 0)), np.zeros((4, 0)), np.zeros((5, 0)), out=buf)
-        np.testing.assert_array_equal(buf, np.full((3, 4, 5), 1.5))
+    assert got.flags.c_contiguous
 
 
 def test_unfolding_pairs_with_khatri_rao():
@@ -227,13 +196,8 @@ def test_unfolding_pairs_with_khatri_rao():
 
 
 def test_frob_norm_and_inner():
-    rng = np.random.default_rng(7)
-    a = rng.standard_normal((3, 4, 5))
-    b = rng.standard_normal((3, 4, 5))
+    a = np.random.default_rng(7).standard_normal((3, 4, 5))
     assert ops.frob_norm(a) == pytest.approx(np.sqrt((a * a).sum()), abs=1e-12)
-    assert ops.inner(a, b) == pytest.approx((a * b).sum(), abs=1e-10)
-    with pytest.raises(ValueError):
-        ops.inner(a, b[:2])
 
 
 def test_hadamard_matches_numpy():

@@ -55,6 +55,9 @@ def test_scenario_scale_shrinks_first_mode_only():
     assert cfg.seed == 9
     with pytest.raises(ValueError, match="unknown scenario"):
         scenario("V")
+    for bad in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="scale"):
+            scenario("I", scale=bad)
 
 
 def test_sparse_factors_cardinality_and_norms():
