@@ -258,6 +258,10 @@ def l1_project(g, c):
     l1 = s1 - k * nxt
     l2sq = s2 - 2.0 * nxt * s1 + k * nxt * nxt
     crossed = (a > nxt) & (l1 * l1 >= c2 * l2sq)
+    # the last segment, ending at lam = 0, crosses: u0 is over budget. Its
+    # test above can miss that when u0 is over by a rounding error only, and
+    # with nothing crossed the threshold would be a_2, leaving a single spike
+    crossed[np.flatnonzero(a > nxt)[-1]] = True
     j = int(np.argmax(crossed))
     kj, s1j, s2j = k[j], s1[j], s2[j]
     if kj > c2:

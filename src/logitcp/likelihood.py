@@ -31,12 +31,13 @@ def sigmoid(t, out=None):
     """Elementwise logistic function 1/(1 + exp(-t)).
 
     This is the formula of scipy.special.expit: below t = -709.78 exp(-t)
-    overflows to inf and the result is 0. A scalar t gives a scalar; with
+    overflows to inf and the result is 0, and above t = 708.4 it underflows
+    and the result is 1; neither warns. A scalar t gives a scalar; with
     `out`, which may be t itself, the result is written there and returned.
     """
     # every step runs in the one buffer negative() returns
     e = np.asarray(np.negative(t, out=out, dtype=float))
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", under="ignore"):
         np.exp(e, out=e)
     e += 1.0
     np.divide(1.0, e, out=e)
@@ -186,18 +187,31 @@ def loss_and_working(x, theta, out=None):
     observed cells get z = theta + 4*(x - sigmoid(theta)), unobserved cells
     keep theta, which makes the surrogate ignore them.
 
-    Blocks of mode-1 rows of about BLOCK_CELLS cells are scored in turn, CP
-    logits formed per block as (U[a:b] diag(d)) khatri_rao(V, W)^T + mu, so
-    no logit tensor is built. In a block both results come from one
-    e = exp(-|theta|): the loss is sum max(theta, 0) + log1p(e) - <x, theta>,
-    and the working tensor uses sigmoid(theta) = 0.5 + copysign(0.5 - e/(1 + e), theta).
+    Blocks of mode-1 rows of about BLOCK_CELLS cells are scored in turn, so
+    no logit tensor is built. CP logits are formed per block by one matmul
+    whose extra column carries the offset,
+    [U[a:b] diag(d), mu 1] [khatri_rao(V, W), 1]^T: its inner size is
+    R + 1 >= 2, so rank-one logits avoid BLAS's slow inner-size-1 path and
+    no separate pass adds mu. In a block both results come from one
+    s = sigmoid(theta): the cell loss is max(theta, 0) - log(max(s, 1 - s))
+    and the working tensor is theta + 4*(x - s). max(s, 1 - s) is
+    sigmoid(|theta|), which lies in [1/2, 1], where s and 1 - s are both
+    within an ulp of their true values; so its log is accurate to a few ulp
+    of 1 at any |theta|, and the exact max(theta, 0) carries the rest of the
+    loss. The other side would not do: past |theta| of about 37, 1 - s for
+    theta > 0 rounds to 0 and its log is -inf.
     """
     cp = isinstance(theta, tuple)
     if cp:
         mu, d, U, V, W = theta
-        ud = np.asarray(U, dtype=float) * np.asarray(d, dtype=float).reshape(-1)
-        krt = ops.khatri_rao(V, W).T
-        shape = (ud.shape[0], len(V), len(W))
+        U = np.asarray(U, dtype=float)
+        r = U.shape[1]
+        shape = (U.shape[0], len(V), len(W))
+        ud = np.empty((shape[0], r + 1))  # [U diag(d), mu 1]
+        np.multiply(U, np.asarray(d, dtype=float).reshape(-1), out=ud[:, :r])
+        ud[:, r] = mu
+        krt = np.ones((r + 1, shape[1] * shape[2]))  # [khatri_rao(V, W), 1]^T
+        krt[:r] = ops.khatri_rao(V, W).T
     else:
         theta = np.asarray(theta, dtype=float)
         shape = theta.shape
@@ -205,35 +219,29 @@ def loss_and_working(x, theta, out=None):
         raise ValueError(f"logits shape {shape} does not match data {x.dims}")
     p1, p2, p3 = shape
     rows = min(p1, max(1, BLOCK_CELLS // (p2 * p3)))
-    tmp, th_buf = np.empty((2, rows, p2, p3))
+    buf, sig_buf, tmp = np.empty((3, rows, p2, p3))
     obs = None if x.fully_observed else x.mask
     nll = resid = 0.0
     for a in range(0, p1, rows):
         b = min(a + rows, p1)
-        th, t = (th_buf[: b - a] if cp else theta[a:b]), tmp[: b - a]
+        u, t = buf[: b - a], tmp[: b - a]
+        th = u if cp else theta[a:b]
         if cp:
             np.matmul(ud[a:b], krt, out=th.reshape(b - a, -1))
-            th += mu
         xb, ob = x.values[a:b], None if obs is None else obs[a:b]
-        # without `out` the loss is all that is asked for, so e may be t
-        e = np.copysign(th, -1.0, out=t if out is None else out[a:b])  # -|theta|
-        with np.errstate(under="ignore"):  # exp(-|theta|) < 1e-308 is 0 to double precision
-            np.exp(e, out=e)
-        np.log1p(e, out=t)
-        nll += _observed_sum(t, ob)
-        np.maximum(th, 0.0, out=t)
-        nll += _observed_sum(t, ob) - np.vdot(xb, th)
-        if out is None:
-            continue
-        np.add(e, 1.0, out=t)
-        np.divide(e, t, out=e)  # sigmoid(-|theta|)
-        np.subtract(0.5, e, out=e)
-        np.copysign(e, th, out=e)
-        e += 0.5  # sigmoid(theta)
-        np.subtract(xb, e, out=e)
-        e *= 4.0
-        resid += _observed_sum(e, ob)
-        e += th
+        s = sigmoid(th, out=sig_buf[: b - a] if out is None else out[a:b])
+        np.subtract(1.0, s, out=t)
+        np.maximum(s, t, out=t)
+        np.log(t, out=t)  # log sigmoid(|theta|)
+        xth = np.vdot(xb, th)
+        if out is not None:
+            np.subtract(xb, s, out=s)
+            s *= 4.0
+            resid += _observed_sum(s, ob)
+            s += th  # z; unobserved cells hold 0 + theta
+        np.maximum(th, 0.0, out=u)  # theta is not read after this
+        u -= t
+        nll += _observed_sum(u, ob) - xth
     return float(nll) if out is None else (float(nll), float(resid) / 4.0)
 
 

@@ -145,8 +145,16 @@ class ScoreTable:
             ratio = "" if r.ratio is None else repr(r.ratio)
             yield (
                 f"{r.rank},{ratio},{repr(r.score)},{repr(float(r.df))},"
-                f"{repr(r.neg_loglik)},{int(r.valid)},{int(r.chosen)},{r.note}"
+                f"{repr(r.neg_loglik)},{int(r.valid)},{int(r.chosen)},{_csv_field(r.note)}"
             )
+
+
+def _csv_field(text):
+    # csv.QUOTE_MINIMAL: quote only a field holding a comma, quote or line
+    # break, doubling its quotes
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
 def _subset(x, mask):

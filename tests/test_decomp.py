@@ -1,5 +1,7 @@
 """Solvers: sparsity operators, power updates, MM loops, multi-start."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -175,6 +177,19 @@ def test_l1_project_meets_a_binding_budget_exactly():
         assert np.abs(got).sum() == pytest.approx(c, rel=0, abs=1e-12)
         assert np.linalg.norm(got) == pytest.approx(1.0, rel=0, abs=1e-12)
     assert binding > 150
+
+
+def test_l1_project_over_budget_by_rounding_stays_put():
+    # a budget one ulp below ||u0||_1: the projection is u0 up to rounding,
+    # not the single spike a threshold at the second magnitude would give
+    rng = np.random.default_rng(14)
+    for _ in range(300):
+        g = rng.standard_normal(int(rng.integers(5, 400)))
+        u0 = g / np.linalg.norm(g)
+        c = np.nextafter(np.abs(u0).sum(), 0.0)
+        got = l1_project(g, c)
+        np.testing.assert_allclose(got, u0, rtol=0, atol=1e-12)
+        assert np.abs(got).sum() <= c + 1e-12
 
 
 def test_l1_project_feasible_input_and_tie_fallback():
@@ -466,6 +481,26 @@ def test_rank_one_on_masked_data():
         f.mu, [f.weight], f.u[:, None], f.v[:, None], f.w[:, None]
     )
     assert f.trace[-1] == pytest.approx(neg_loglik(x, theta), abs=1e-8)
+
+
+def test_rank_one_fit_from_logits_beyond_exp_overflow():
+    # a start whose logits reach below -709.78, where exp(-theta) overflows
+    # inside the scoring kernel's sigmoid; the overflow is harmless there
+    # (sigmoid is 0) and must not warn or spoil the loss
+    x, _ = planted_rank_one()
+    cfg = FitConfig(rank=1, seed=3)
+    u, v, w, _, mu = power_start(x, cfg, spectral=False)
+    d = 1500.0 / -ops.cp_reconstruct(0.0, [1.0], u[:, None], v[:, None], w[:, None]).min()
+    start = ops.cp_reconstruct(mu, [d], u[:, None], v[:, None], w[:, None])
+    assert start.min() < -709.78
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        f = rank_one_mm_fit(x, cfg, init=(u, v, w, d), mu0=mu)
+    want = np.logaddexp(0.0, start).sum() - np.vdot(x.values, start)
+    assert f.trace[0] == pytest.approx(want, rel=1e-12)
+    assert np.all(np.isfinite(f.trace))
+    steps = np.diff(f.trace)
+    assert steps.size and steps.max() <= MONOTONE_SLACK
 
 
 # -------------------------------------------------------------- init makers

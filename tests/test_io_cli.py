@@ -1,5 +1,6 @@
 """Text file formats and the command line interface."""
 
+import csv
 import re
 import warnings
 
@@ -425,6 +426,24 @@ def test_cli_select_marks_a_non_finite_ratio_failed(sim_file, tmp_path):
     assert [(r[1], r[5], r[7]) for r in rows if r[1] == "inf"] == [
         ("inf", "0", "failed: l0 ratio inf is not finite")
     ]
+
+
+def test_cli_select_csv_quotes_a_note_with_a_comma(sim_file, tmp_path):
+    # at ratio 0.05 the l0 cardinality of the 15-row mode is 0, so that fit
+    # fails with a note that holds a comma
+    out = tmp_path / "scores.csv"
+    assert run_cli("select", "--data", sim_file, "--ranks", "1", "--method", "ttp",
+                   "--ratios", "0.05,0.5", "--criterion", "aic", "--starts", "4",
+                   "--seed", "0", "--out", out) == 0
+    with open(out, newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == "rank,ratio,score,df,neg_loglik,valid,chosen,note".split(",")
+    assert all(len(r) == 8 for r in rows)
+    notes = {r[1]: r[7] for r in rows[1:]}
+    assert notes["0.05"] == "failed: l0 cardinality 0 outside [1, 15] for mode of size 15"
+    assert notes["0.5"] == ""
+    # a note without a comma, quote or line break is written bare
+    assert out.read_text().count('"') == 2
 
 
 def test_cli_fit_converged_run_and_outputs(sim_file, tmp_path, capsys):

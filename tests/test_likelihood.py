@@ -63,6 +63,16 @@ def test_sigmoid_is_zero_below_exp_overflow():
     assert sigmoid(-709.78) > 0.0
 
 
+def test_sigmoid_is_silent_where_exp_underflows_or_overflows():
+    # exp(-t) underflows for t >~ 708 and overflows for t < -709.78; both
+    # give the exact limits, so neither may raise under a strict error state
+    t = np.array([800.0, 745.5, -800.0, -745.5])
+    with np.errstate(all="raise"):
+        s = sigmoid(t)
+        assert sigmoid(800.0) == 1.0 and sigmoid(-800.0) == 0.0
+    np.testing.assert_array_equal(s, [1.0, 1.0, 0.0, 0.0])
+
+
 def test_sigmoid_nondecreasing():
     s = sigmoid(np.linspace(-750.0, 750.0, 1_000_001))
     assert np.all(np.diff(s) >= 0)
@@ -187,31 +197,35 @@ def test_loss_and_working_matches_references_dense_and_masked():
         np.testing.assert_allclose(out, want_z, rtol=0, atol=1e-12)
         # unobserved cells carry theta exactly
         assert np.array_equal(out[~mask], theta[~mask])
-    # dense data takes two plain sums, bit for bit
+    # dense data takes one plain sum, bit for bit
     x = BinaryTensor.dense(vals)
-    two_sums = np.log1p(np.exp(-np.abs(theta))).sum()
-    two_sums += np.maximum(theta, 0.0).sum() - np.vdot(vals, theta)
-    assert loss_and_working(x, theta, np.empty(shape))[0] == loss_and_working(x, theta) == two_sums
+    s = sigmoid(theta)
+    one_sum = (np.maximum(theta, 0.0) - np.log(np.maximum(s, 1.0 - s))).sum()
+    one_sum -= np.vdot(vals, theta)
+    assert loss_and_working(x, theta, np.empty(shape))[0] == loss_and_working(x, theta) == one_sum
 
 
 def _whole_array_scoring(x, theta):
     """The unblocked scoring chain on the whole logit tensor, operation for
     operation: (loss, working tensor, residual sum)."""
-    with np.errstate(under="ignore"):
-        e = np.exp(-np.abs(theta))
-    r = 4.0 * (x.values - (0.5 + np.copysign(0.5 - e / (1.0 + e), theta)))
+    s = sigmoid(theta)
+    r = 4.0 * (x.values - s)
     if not x.fully_observed:
         r = r * x.mask
-    loss = (np.log1p(e) + np.maximum(theta, 0.0))[x.mask].sum() - np.vdot(x.values, theta)
+    cell_loss = np.maximum(theta, 0.0) - np.log(np.maximum(s, 1.0 - s))
+    loss = cell_loss[x.mask].sum() - np.vdot(x.values, theta)
     return loss, theta + r, r.sum() / 4.0
 
 
 def _blockwise_logits(pieces, rows):
-    # each block's logits (U[a:b] diag(d)) khatri_rao(V, W)^T + mu; a matmul
-    # over fewer rows may round differently from one over the whole of U
+    # each block's logits [U[a:b] diag(d), mu 1] [khatri_rao(V, W), 1]^T, both
+    # factors C-ordered as in the kernel; a matmul over fewer rows, or over
+    # another layout, may round differently
     mu, d, U, V, W = pieces
-    krt = ops.khatri_rao(V, W).T
-    blocks = [(U[a : a + rows] * d) @ krt + mu for a in range(0, U.shape[0], rows)]
+    ud = np.hstack([U * d, np.full((U.shape[0], 1), mu)])
+    krt = np.ones((len(d) + 1, V.shape[0] * W.shape[0]))
+    krt[:-1] = ops.khatri_rao(V, W).T
+    blocks = [ud[a : a + rows] @ krt for a in range(0, U.shape[0], rows)]
     return np.concatenate(blocks).reshape(U.shape[0], V.shape[0], W.shape[0])
 
 
