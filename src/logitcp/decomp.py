@@ -184,6 +184,9 @@ def _check_config(x, cfg):
     else:
         if cfg.c is not None or cfg.s is not None:
             raise ValueError("c/s given but penalty is 'none'")
+    v = x.values  # unobserved cells hold 0
+    if not v.any() or (v.all() if x.fully_observed else np.count_nonzero(v) == x.n_observed):
+        raise ValueError(f"every observed cell is {int(v.any())}; constant data have no finite fit")
     return c, s
 
 
@@ -498,8 +501,6 @@ def rank_one_mm_fit(x, cfg, init, mu0=None):
         mu0 = _base_tensor(x)[1]
 
     def block_update(zc, factors):
-        if not zc.any():
-            return 0.0, factors
         u, v, w = factors
         for _t in range(cfg.max_inner_iters):
             old = (u, v, w)
@@ -512,10 +513,8 @@ def rank_one_mm_fit(x, cfg, init, mu0=None):
             w = _project(vm, 3, cfg.penalty, c, s)
             if _factor_change((u, v, w), old) <= cfg.inner_tol:
                 break
-        d = float(vm @ w)
-        if d < 0.0:
-            w, d = -w, -d
-        return d, (u, v, w)
+        # w keeps the signs of vm, so d is nonnegative
+        return float(vm @ w), (u, v, w)
 
     mu, d, (u, v, w), trace, n_outer, converged, reason = _mm_passes(
         x, cfg, float(mu0), d, (u, v, w), block_update
@@ -594,60 +593,48 @@ def _init_power(base, cfg, s, rng, spectral):
 
 
 def _leading_left_singular(m, r, rng):
-    # the top-r eigenpairs of the smaller Gram matrix: its eigenvalues are
-    # the squared singular values of m, and its eigenvectors the left
-    # singular vectors (m m^T) or the right ones (m^T m), which m maps to
-    # the left ones. scipy's subset eigh is cheaper than numpy's full one at
-    # large p; importing it here, its only use, keeps scipy off every other
-    # command's start-up
-    import scipy.linalg
-
-    n, k = m.shape
-    wide = n <= k
-    gram = m @ m.T if wide else m.T @ m
-    size = gram.shape[0]
+    # top-r left singular vectors of m from the eigenpairs of the smaller
+    # Gram matrix g: they are its eigenvectors (g = m m^T) or m maps them to
+    # the left ones (g = m^T m). numpy's eigh has no top-r subset, so a g
+    # with more rows than 21 blocks of r + 4 columns is first projected onto
+    # the block Krylov space those blocks span (Musco & Musco 2015)
+    wide = m.shape[0] <= m.shape[1]
+    g = m @ m.T if wide else m.T @ m
+    n, b, steps = g.shape[0], min(r + 4, g.shape[0]), 20
+    basis = np.eye(n)
+    if n > b * (steps + 1):
+        blocks = [np.linalg.qr(rng.standard_normal((n, b)))[0]]
+        for _ in range(steps):
+            blocks.append(np.linalg.qr(g @ blocks[-1])[0])
+        basis = np.linalg.qr(np.hstack(blocks))[0]
     try:
-        ev, vecs = scipy.linalg.eigh(gram, subset_by_index=(max(size - r, 0), size - 1))
-    except (np.linalg.LinAlgError, ValueError):
-        ev, vecs = None, None
-    cols = []
-    if vecs is not None:
-        for j in range(vecs.shape[1] - 1, -1, -1):
-            if not (np.isfinite(ev[j]) and ev[j] > 0):
-                continue
-            if wide:
-                cols.append(vecs[:, j])
-                continue
-            col = m @ vecs[:, j]
-            nrm = np.linalg.norm(col)
-            if nrm > 0 and np.isfinite(nrm):
-                cols.append(col / nrm)
-    while len(cols) < r:
-        cols.append(_random_unit(rng, m.shape[0]))
-    return np.column_stack(cols)
+        ev, vecs = np.linalg.eigh(basis.T @ g @ basis)
+    except np.linalg.LinAlgError:
+        ev, vecs = np.zeros(0), np.zeros((basis.shape[1], 0))
+    cols = basis @ vecs[:, np.flatnonzero(ev > 0)[::-1][:r]]
+    cols = cols if wide else m @ cols
+    fill = rng.standard_normal((m.shape[0], r - cols.shape[1]))
+    return _normalize_cols_inplace(np.hstack([cols, fill]), rng)
 
 
 def _init_als(x, cfg, rng, spectral):
+    """ALS start (mu, d, U, V, W). U and V are the top-r left singular
+    vectors of the mode-1 and mode-2 unfoldings of the centered sign tensor
+    (HOSVD-style), or Gaussian columns when spectral is False; W and d then
+    come from the least-squares solve of the mode-3 unfolding."""
     q, mu = _base_tensor(x)
-    p1, p2, p3 = x.dims
+    p1, p2 = x.dims[:2]
     r = cfg.rank
     if spectral:
         u_mat = _leading_left_singular(ops.matricize(q, 1), r, rng)
         v_mat = _leading_left_singular(ops.matricize(q, 2), r, rng)
     else:
-        u_mat = rng.standard_normal((p1, r))
-        v_mat = rng.standard_normal((p2, r))
-        u_mat /= np.linalg.norm(u_mat, axis=0)
-        v_mat /= np.linalg.norm(v_mat, axis=0)
+        u_mat = _normalize_cols_inplace(rng.standard_normal((p1, r)), rng)
+        v_mat = _normalize_cols_inplace(rng.standard_normal((p2, r)), rng)
     kr = ops.khatri_rao(v_mat, u_mat)
     cmat = ops.matricize(q, 3) @ np.linalg.pinv(kr.T, rcond=1e-10)
     d = np.linalg.norm(cmat, axis=0)
-    w_mat = np.empty_like(cmat)
-    for j in range(r):
-        if d[j] > 0:
-            w_mat[:, j] = cmat[:, j] / d[j]
-        else:
-            w_mat[:, j] = _random_unit(rng, p3)
+    w_mat = _normalize_cols_inplace(cmat, rng)
     order = np.argsort(-d, kind="stable")
     return mu, d[order], u_mat[:, order], v_mat[:, order], w_mat[:, order]
 
@@ -664,7 +651,9 @@ def _normalize_cols_inplace(mat, rng):
 def als_fit(x, cfg):
     """Rank-R MM fit by alternating least squares on the working tensor.
 
-    Each outer pass rebuilds the working tensor and offset, then cycles
+    Starts from _init_als: HOSVD-style columns on modes 1 and 2 (or
+    Gaussian ones with init="random") and mode 3 by least squares. Each
+    outer pass rebuilds the working tensor and offset, then cycles
     factor-matrix least-squares solves (Gram form, pseudo-inverse with
     cutoff 1e-10) until the factors settle. Weights and signs live in the
     last mode's solve; the output model has weights sorted nonincreasing.

@@ -74,9 +74,12 @@ def _byte_rows(strings):
 def _value_rows(v, binary):
     if not binary:
         return _byte_rows([_fmt(x) for x in v.tolist()])
+    frac = np.isfinite(v) & (np.trunc(v) != v)
+    if frac.any():
+        raise ValueError(f"binary tensor value {float(v[frac][0])!r} is not an integer")
     if not np.all(np.abs(v) < 2.0**63):  # also true for nan and inf
         return _byte_rows([str(int(x)) for x in v.tolist()])  # raises as int() does
-    # astype truncates toward zero, as int() does
+    # the values are integral here, so astype is exact
     labels, which = np.unique(v.astype(np.int64), return_inverse=True)
     return _byte_rows([str(n) for n in labels.tolist()])[which]
 
@@ -97,7 +100,9 @@ def _tensor_chunks(values, mask, binary):
 
 
 def write_tensor(path, values, mask=None, binary=True):
-    """Write a tensor file; cells where mask is False are omitted."""
+    """Write a tensor file; cells where mask is False are omitted. In binary
+    mode every stored value must be an integer: a fractional one raises
+    ValueError naming it, and NaN or inf raise as int() does."""
     values = np.asarray(values, dtype=float)
     if values.ndim != 3:
         raise ValueError(f"tensor must be 3-way, got shape {values.shape}")

@@ -24,6 +24,7 @@ from logitcp.decomp import (
     fit,
     fit_rank_path,
     l1_project,
+    method_config,
     multi_start_fit,
     power_update,
     rank_one_mm_fit,
@@ -650,11 +651,55 @@ def test_als_spectral_start_matches_svd_subspace(mode):
     np.testing.assert_allclose(np.abs(np.sum(cols * ref, axis=0)), 1.0, atol=1e-10)
 
 
+@pytest.mark.parametrize("shape", [(300, 400), (400, 300)])
+@pytest.mark.parametrize("true_rank", [3, 300])
+def test_als_spectral_start_on_a_large_gram_matches_svd_subspace(shape, true_rank):
+    # a 300 x 300 Gram is larger than the Krylov space (21 blocks of r + 4
+    # columns), so this runs the projected route; at true rank 3 the space
+    # runs out of directions after its first block
+    rng = np.random.default_rng(5)
+    p, q = shape
+    left = np.linalg.qr(rng.standard_normal((p, true_rank)))[0]
+    right = np.linalg.qr(rng.standard_normal((q, true_rank)))[0]
+    m = (left * np.r_[100.0, 80.0, np.linspace(60.0, 1.0, true_rank - 2)]) @ right.T
+    r = 2
+    cols = _leading_left_singular(m, r, np.random.default_rng(0))
+    ref = left[:, :r]
+    np.testing.assert_allclose(cols.T @ cols, np.eye(r), atol=1e-10)
+    np.testing.assert_allclose(np.abs(np.sum(cols * ref, axis=0)), 1.0, atol=1e-10)
+
+
 @pytest.mark.parametrize("shape", [(40, 6), (6, 40)])
 def test_als_spectral_start_falls_back_to_random_columns(shape):
     cols = _leading_left_singular(np.zeros(shape), 2, np.random.default_rng(0))
     assert cols.shape == (shape[0], 2)
     np.testing.assert_allclose(np.linalg.norm(cols, axis=0), 1.0)
+
+
+@pytest.mark.parametrize("masked", [False, True])
+@pytest.mark.parametrize("value", [0, 1])
+@pytest.mark.parametrize("method", ["als", "tp", "tsp", "ttp"])
+def test_constant_data_is_refused_before_any_fit(method, value, masked):
+    dims = (6, 5, 4)
+    mask = np.ones(dims, dtype=bool)
+    if masked:
+        mask[np.random.default_rng(0).random(dims) < 0.3] = False
+    x = BinaryTensor(np.full(dims, float(value)), mask)
+    cfg = method_config(FitConfig(rank=1), method, dims, None if method in ("als", "tp") else 0.5)
+    with pytest.raises(ValueError, match=f"^every observed cell is {value};"):
+        fit(x, cfg, method)
+
+
+def test_power_fit_with_both_classes_keeps_a_nonnegative_weight():
+    # the weight is the last mode-3 contraction against its own projection,
+    # so it never comes out negative, for any penalty or start
+    rng = np.random.default_rng(8)
+    x = BinaryTensor.dense((rng.random((7, 5, 4)) < 0.3).astype(float))
+    for penalty, extra in (("none", {}), ("l1", {"c": (1.2, 1.2, 1.2)}), ("l0", {"s": (2, 2, 2)})):
+        cfg = FitConfig(rank=1, penalty=penalty, max_outer_iters=5, **extra)
+        for seed in range(5):
+            start = [rng.standard_normal(p) for p in x.dims]
+            assert rank_one_mm_fit(x, cfg, init=start).weight >= 0.0
 
 
 TINY = 1e-300

@@ -158,6 +158,18 @@ def test_failed_tensor_write_leaves_the_old_file(tmp_path):
     assert [f.name for f in tmp_path.iterdir()] == ["t.txt"]
 
 
+def test_binary_tensor_write_refuses_a_fraction_and_leaves_the_old_file(tmp_path):
+    path = tmp_path / "t.txt"
+    path.write_text("old\n")
+    vals = np.ones((256, 256, 2))
+    vals[5, 3, 1] = 0.5  # record 66310, past the first chunk of records
+    vals[-1, -1, -1] = 2.7
+    with pytest.raises(ValueError, match=r"^binary tensor value 0\.5 is not an integer$"):
+        fileio.write_tensor(path, vals, binary=True)
+    assert path.read_text() == "old\n"
+    assert [f.name for f in tmp_path.iterdir()] == ["t.txt"]
+
+
 def test_read_tensor_error_messages_name_path_and_line(tmp_path):
     p = tmp_path / "bad.txt"
 
@@ -499,6 +511,26 @@ def test_cli_fit_flag_validation(sim_file, tmp_path, capsys):
                    "--symmetric-uv", "--out", out) == 2
     assert run_cli("fit", "--data", tmp_path / "absent.txt", "--rank", "1",
                    "--out", out) == 2
+
+
+@pytest.mark.parametrize("masked", [False, True])
+@pytest.mark.parametrize("value", [0, 1])
+@pytest.mark.parametrize("method", ["als", "tp", "tsp", "ttp"])
+def test_cli_fit_refuses_constant_data_and_writes_nothing(tmp_path, capsys, method, value,
+                                                          masked):
+    data = tmp_path / "const.txt"
+    mask = np.ones((6, 5, 4), dtype=bool)
+    mask[0, 0, :] = not masked
+    fileio.write_tensor(data, np.full(mask.shape, float(value)), mask)
+    ratio = {"tsp": ("--c-ratio", "0.5"), "ttp": ("--s-ratio", "0.5")}.get(method, ())
+    out = tmp_path / "fit"
+    assert run_cli("fit", "--data", data, "--rank", "1", "--method", method, *ratio,
+                   "--out", out) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: every observed cell is {value}; "
+                            "constant data have no finite fit\n")
+    assert [f.name for f in tmp_path.iterdir()] == ["const.txt"]
 
 
 def test_cli_select_writes_score_table(sim_file, tmp_path, capsys):
