@@ -37,7 +37,6 @@ __all__ = [
     "rank_one_mm_fit",
     "final_offset",
     "als_fit",
-    "multi_start_fit",
     "fit_rank_path",
     "fit",
     "c_from_ratio",
@@ -317,10 +316,12 @@ def final_offset(x, theta_c=None):
 
     The gradient sum(x - sigmoid(mu + theta_c)) is strictly decreasing in mu,
     so the root is unique; Newton steps are safeguarded by bisection on
-    [-40, 40]. If the gradient never changes sign there (all-ones or
-    all-zeros data) the bracket end is returned; logits beyond 40 saturate
-    at double precision anyway. The search stops once |gradient| < 1e-8, or
-    after 200 steps.
+    [-40, 40]. If the gradient never changes sign there, that end is
+    returned; logits beyond 40 saturate at double precision anyway. Among
+    fitted models this needs centered logits extreme enough to fit the data
+    alone, since the solvers refuse all-ones and all-zeros data before
+    fitting (a direct call on such data returns 40 or -40). The search
+    stops once |gradient| < 1e-8, or after 200 steps.
     """
     tol = 1e-8
     # on fully observed data the observed cells are all cells, in the order
@@ -421,19 +422,21 @@ def _columns(f):
     return f[:, None] if f.ndim == 1 else f
 
 
-def _mm_passes(x, cfg, mu, d, factors, block_update):
+def _mm_passes(x, cfg, mu, d, factors, sweep):
     """Outer MM passes shared by every solver.
 
     Starts from the logits of (mu, d, factors). Each pass takes the exact
     offset step mean(y - theta_c) over all cells, which is
     mu + 4*sum_obs(x - sigmoid(theta))/N as y - theta_c is mu plus the
-    working tensor's residual term; it centers the working tensor y, lets
-    block_update(zc, factors) -> (d, factors) decrease the quadratic
-    surrogate, then scores the new logits from the factors, writing the
-    next pass's working tensor and residual sum in the same sweep. The loop
-    stops when the loss change falls below the absolute or relative
-    tolerance, or when the factor change falls below factor_tol scaled by
-    the square root of the number of components being updated.
+    working tensor's residual term; it centers the working tensor y, runs
+    sweep(zc, factors) -> (d, factors) up to max_inner_iters times to
+    decrease the quadratic surrogate, then scores the new logits from the
+    factors, writing the next pass's working tensor and residual sum in the
+    same sweep. Both loops share one scale, the square root of the number of
+    components being updated: the sweeps stop once a sweep changes the
+    factors by at most inner_tol times it, and the passes stop when the loss
+    change falls below the absolute or relative tolerance, or when a pass
+    changes the factors by at most factor_tol times it.
 
     Returns (mu, d, factors, trace, n_outer, converged, reason); trace holds
     the negative log-likelihood at the start and after each pass.
@@ -449,7 +452,11 @@ def _mm_passes(x, cfg, mu, d, factors, block_update):
         mu += 4.0 * resid / y.size
         y -= mu  # y buffer now holds the centered working tensor
         old = factors
-        d, factors = block_update(y, factors)
+        for _ in range(cfg.max_inner_iters):
+            prev = factors
+            d, factors = sweep(y, factors)
+            if _factor_change(factors, prev) <= scale * cfg.inner_tol:
+                break
         pieces = (mu, d, *map(_columns, factors))
         if n_outer < cfg.max_outer_iters:
             nll, resid = loss_and_working(x, pieces, y)
@@ -484,7 +491,9 @@ def rank_one_mm_fit(x, cfg, init, mu0=None):
     """MM fit of a single rank-one logit component (power-method family).
 
     init: (u, v, w) directions, starting at weight 0, or (u, v, w, d) with
-    a starting weight; the multi-start pools draw it. Each start vector is
+    a starting weight; the multi-start pools draw it. An init of another
+    length, or a vector whose length is not its mode's size, raises
+    ValueError. Each start vector is
     projected onto its mode's feasible set first, so a zero one raises
     DegenerateDirectionError, as does a zero contraction in a later power
     step. mu0 defaults to the mean of 2x - 1 over all cells (unobserved
@@ -492,7 +501,12 @@ def rank_one_mm_fit(x, cfg, init, mu0=None):
     the start and after each outer pass.
     """
     c, s = _check_config(x, cfg)
+    if len(init) not in (3, 4):
+        raise ValueError(f"init needs (u, v, w) or (u, v, w, d), got {len(init)} entries")
     u, v, w = (np.asarray(f, dtype=float) for f in init[:3])
+    for mode, (f, p) in enumerate(zip((u, v, w), x.dims), start=1):
+        if f.shape != (p,):
+            raise ValueError(f"init vector for mode {mode} has shape {f.shape}, data need ({p},)")
     d = float(init[3]) if len(init) == 4 else 0.0
     u = _project(u, 1, cfg.penalty, c, s)
     v = u if cfg.symmetric_uv else _project(v, 2, cfg.penalty, c, s)
@@ -500,24 +514,20 @@ def rank_one_mm_fit(x, cfg, init, mu0=None):
     if mu0 is None:
         mu0 = _base_tensor(x)[1]
 
-    def block_update(zc, factors):
+    def sweep(zc, factors):
         u, v, w = factors
-        for _t in range(cfg.max_inner_iters):
-            old = (u, v, w)
-            u = power_update(zc, u, v, w, 1, cfg.penalty, c, s)
-            # Z x1 u serves the v-step, the w-step and the weight, so a
-            # sweep reads the working tensor twice
-            m = ops.rank_one_contract(zc, u=u)
-            v = u if cfg.symmetric_uv else _project(m @ w, 2, cfg.penalty, c, s)
-            vm = v @ m
-            w = _project(vm, 3, cfg.penalty, c, s)
-            if _factor_change((u, v, w), old) <= cfg.inner_tol:
-                break
-        # w keeps the signs of vm, so d is nonnegative
+        u = power_update(zc, u, v, w, 1, cfg.penalty, c, s)
+        # Z x1 u serves the v-step, the w-step and the weight, so a sweep
+        # reads the working tensor twice
+        m = ops.rank_one_contract(zc, u=u)
+        v = u if cfg.symmetric_uv else _project(m @ w, 2, cfg.penalty, c, s)
+        vm = v @ m
+        w = _project(vm, 3, cfg.penalty, c, s)
+        # w keeps the signs of vm, so d is positive
         return float(vm @ w), (u, v, w)
 
     mu, d, (u, v, w), trace, n_outer, converged, reason = _mm_passes(
-        x, cfg, float(mu0), d, (u, v, w), block_update
+        x, cfg, float(mu0), d, (u, v, w), sweep
     )
     return RankOneFit(
         mu=mu,
@@ -666,33 +676,28 @@ def als_fit(x, cfg):
     rng = _rng(cfg.seed, 4)
     mu, d, u_mat, v_mat, w_mat = _init_als(x, cfg, rng, spectral=(cfg.init == "spectral"))
     r = cfg.rank
-    inner_tol = math.sqrt(r) * cfg.inner_tol
 
-    def block_update(zc, factors):
+    def sweep(zc, factors):
         p1, p2, p3 = zc.shape
         z1 = zc.reshape(p1, p2 * p3)  # columns ordered (j, k), k fastest
         u_mat, v_mat, w_mat = factors
-        for _t in range(cfg.max_inner_iters):
-            old = (u_mat, v_mat, w_mat)
-            gram = (w_mat.T @ w_mat) * (v_mat.T @ v_mat)
-            a = z1 @ ops.khatri_rao(v_mat, w_mat) @ np.linalg.pinv(gram, rcond=1e-10)
-            u_mat = _normalize_cols_inplace(a, rng)
-            # zu[r] is zc contracted with u_r along mode 1; modes 2 and 3
-            # contract it further with w_r and v_r
-            zu = (u_mat.T @ z1).reshape(r, p2, p3)
-            gram = (w_mat.T @ w_mat) * (u_mat.T @ u_mat)
-            b = (zu @ w_mat.T[:, :, None])[:, :, 0].T @ np.linalg.pinv(gram, rcond=1e-10)
-            v_mat = _normalize_cols_inplace(b, rng)
-            gram = (v_mat.T @ v_mat) * (u_mat.T @ u_mat)
-            cm = (v_mat.T[:, None, :] @ zu)[:, 0, :].T @ np.linalg.pinv(gram, rcond=1e-10)
-            d = np.linalg.norm(cm, axis=0)
-            w_mat = _normalize_cols_inplace(cm, rng)
-            if _factor_change((u_mat, v_mat, w_mat), old) <= inner_tol:
-                break
+        gram = (w_mat.T @ w_mat) * (v_mat.T @ v_mat)
+        a = z1 @ ops.khatri_rao(v_mat, w_mat) @ np.linalg.pinv(gram, rcond=1e-10)
+        u_mat = _normalize_cols_inplace(a, rng)
+        # zu[r] is zc contracted with u_r along mode 1; modes 2 and 3
+        # contract it further with w_r and v_r
+        zu = (u_mat.T @ z1).reshape(r, p2, p3)
+        gram = (w_mat.T @ w_mat) * (u_mat.T @ u_mat)
+        b = (zu @ w_mat.T[:, :, None])[:, :, 0].T @ np.linalg.pinv(gram, rcond=1e-10)
+        v_mat = _normalize_cols_inplace(b, rng)
+        gram = (v_mat.T @ v_mat) * (u_mat.T @ u_mat)
+        cm = (v_mat.T[:, None, :] @ zu)[:, 0, :].T @ np.linalg.pinv(gram, rcond=1e-10)
+        d = np.linalg.norm(cm, axis=0)
+        w_mat = _normalize_cols_inplace(cm, rng)
         return d, (u_mat, v_mat, w_mat)
 
     mu, d, (u_mat, v_mat, w_mat), trace, _, converged, reason = _mm_passes(
-        x, cfg, mu, d, (u_mat, v_mat, w_mat), block_update
+        x, cfg, mu, d, (u_mat, v_mat, w_mat), sweep
     )
 
     order = np.argsort(-d, kind="stable")
@@ -742,76 +747,47 @@ def _run_pool(x, cfg, s, count, stream):
     return [f for f in map(one, range(count)) if f is not None]
 
 
-def multi_start_fit(x, cfg):
-    """Rank-R fit for the power-method family (penalty "none", "l1" or "l0").
-
-    Runs n_starts independent rank-one MM fits, then extracts R components
-    greedily: take the heaviest candidate, re-estimate from it, and prune
-    all candidates within cluster_threshold of it. An exhausted pool gets
-    one top-up round of fresh random starts; if it empties again the report
-    carries clusters_found < rank and converged=False. The offset is
-    re-maximized once at the end with all components fixed.
-    """
-    reports = _multi_start_reports(x, cfg, [cfg.rank])
-    return reports[cfg.rank]
-
-
 def fit_rank_path(x, cfg, ranks):
-    """Nested fits for several ranks from one multi-start pool.
+    """Rank-r fits of the power-method family (penalty "none", "l1" or
+    "l0") for every r in ranks, from one multi-start pool. Returns
+    {rank: FitReport}.
 
-    Greedy extraction makes the rank-r model a prefix of the rank-R one, so
-    a sweep over ranks only needs the pool once. Equivalent to calling
-    multi_start_fit per rank with the same n_starts (the pool here is sized
-    for max(ranks)). Returns {rank: FitReport}.
+    Runs n_starts independent rank-one MM fits (n_starts for max(ranks)),
+    then extracts components greedily: take the heaviest candidate,
+    re-estimate from it, and prune all candidates within cluster_threshold
+    of it. An exhausted pool gets one top-up round of fresh random starts;
+    if it empties again the reports carry clusters_found < rank and
+    converged=False. There is no deflation, so the rank-r model is a prefix
+    of the rank-R one and equals a fit at rank r with the same n_starts.
+    Each report's offset is re-maximized once with its components fixed.
     """
     ranks = sorted(set(int(r) for r in ranks))
-    if not ranks or ranks[0] < 1:
+    if not ranks:
         raise ValueError("ranks must be positive integers")
-    return _multi_start_reports(x, cfg, ranks)
-
-
-def _multi_start_reports(x, cfg, ranks):
-    r_max = max(ranks)
-    cfg_max = replace(cfg, rank=r_max)
+    if ranks[0] < 1:
+        raise ValueError(f"rank must be >= 1, got {ranks[0]}")
+    cfg_max = replace(cfg, rank=ranks[-1])
     _, s = _check_config(x, cfg_max)
-    n = cfg_max.effective_starts
-    pool = _run_pool(x, cfg_max, s, n, stream=1)
-    n_used = len(pool)
-    if not pool:
-        raise RuntimeError("all multi-start fits failed; data may be degenerate")
-    start_traces = [f.trace for f in pool]
-
-    components = []
-    topped_up = False
-    while len(components) < r_max:
-        if not pool:
-            if topped_up:
-                break
-            topped_up = True
-            pool = _run_pool(x, cfg_max, s, n, stream=2)
-            n_used += len(pool)
-            start_traces.extend(f.trace for f in pool)
-            continue
-        best = max(pool, key=lambda f: f.weight)
-        refit = rank_one_mm_fit(
-            x, cfg_max, init=(best.u, best.v, best.w, best.weight), mu0=best.mu
-        )
-        pool = [f for f in pool if _tuple_distance(f, best) > cfg.cluster_threshold]
-        if refit.weight > 0:
-            components.append(refit)
-
-    reports = {}
-    for r in ranks:
-        comps = components[: min(r, len(components))]
-        reports[r] = _report_from_components(x, cfg, r, comps, n_used, start_traces)
-    return reports
+    start_traces, components = [], []
+    for stream in (1, 2):
+        pool = _run_pool(x, cfg_max, s, cfg_max.effective_starts, stream)
+        if not pool and stream == 1:
+            raise RuntimeError("all multi-start fits failed; data may be degenerate")
+        start_traces += [f.trace for f in pool]
+        while pool and len(components) < cfg_max.rank:
+            best = max(pool, key=lambda f: f.weight)
+            components.append(rank_one_mm_fit(
+                x, cfg_max, init=(best.u, best.v, best.w, best.weight), mu0=best.mu
+            ))
+            pool = [f for f in pool if _tuple_distance(f, best) > cfg.cluster_threshold]
+        if len(components) == cfg_max.rank:
+            break
+    return {r: _report_from_components(x, cfg, r, components[:r], start_traces) for r in ranks}
 
 
-def _report_from_components(x, cfg, rank, comps, n_starts_used, start_traces):
+def _report_from_components(x, cfg, rank, comps, start_traces):
     comps = sorted(comps, key=lambda f: -f.weight)
     found = len(comps)
-    if found == 0:
-        raise RuntimeError("no usable components extracted; data may be degenerate")
     d = np.array([f.weight for f in comps])
     u_mat = np.column_stack([f.u for f in comps])
     v_mat = np.column_stack([f.v for f in comps])
@@ -831,7 +807,7 @@ def _report_from_components(x, cfg, rank, comps, n_starts_used, start_traces):
     return FitReport(
         model=LogitModel(mu, d, u_mat, v_mat, w_mat),
         loss_trace=comps[0].trace,
-        n_starts_used=n_starts_used,
+        n_starts_used=len(start_traces),
         clusters_found=found,
         converged=converged,
         reason=reason,
@@ -854,4 +830,4 @@ def fit(x, cfg, method):
         )
     if method == "als":
         return als_fit(x, cfg)
-    return multi_start_fit(x, cfg)
+    return fit_rank_path(x, cfg, [cfg.rank])[cfg.rank]

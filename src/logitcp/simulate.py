@@ -131,6 +131,8 @@ def calibrate_baseline(dims, rank, seed=0, reps=100):
     than R clusters are skipped; fewer than 80% successes is an error.
     Results are memoized in-process on (dims, rank, seed, reps).
     """
+    if int(reps) < 1:
+        raise ValueError(f"reps must be >= 1, got {reps}")
     dims = tuple(int(p) for p in dims)
     key = (dims, int(rank), decomp._seed_tuple(seed), int(reps))
     if key in _baseline_cache:
@@ -146,7 +148,7 @@ def calibrate_baseline(dims, rank, seed=0, reps=100):
             seed=decomp._seed_tuple(seed, 102, rep),
         )
         try:
-            report = decomp.multi_start_fit(x, cfg)
+            report = decomp.fit_rank_path(x, cfg, [cfg.rank])[cfg.rank]
         except (decomp.DegenerateDirectionError, RuntimeError, ValueError):
             continue
         if report.clusters_found < rank:

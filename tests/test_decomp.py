@@ -7,13 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from logitcp import ops
+from logitcp import decomp, ops
 from logitcp.decomp import (
     DegenerateDirectionError,
     FitConfig,
     _base_tensor,
     _check_config,
-    _factor_change,
     _init_power,
     _leading_left_singular,
     _mm_passes,
@@ -25,7 +24,6 @@ from logitcp.decomp import (
     fit_rank_path,
     l1_project,
     method_config,
-    multi_start_fit,
     power_update,
     rank_one_mm_fit,
     s_from_ratio,
@@ -403,28 +401,22 @@ def test_infeasible_start_is_projected_before_first_pass():
 
 
 def _reference_rank_one(x, cfg, init, mu0):
-    """rank_one_mm_fit written the long way: three power_update
-    contractions per sweep, and the weight from a contraction on all three
-    modes."""
+    """rank_one_mm_fit written the long way: a sweep of three power_update
+    contractions, and the weight from a contraction on all three modes."""
     c, s = _check_config(x, cfg)
     u, v, w, d = init
     u = _project(u, 1, cfg.penalty, c, s)
     v = u if cfg.symmetric_uv else _project(v, 2, cfg.penalty, c, s)
     w = _project(w, 3, cfg.penalty, c, s)
 
-    def block_update(zc, factors):
+    def sweep(zc, factors):
         u, v, w = factors
-        for _ in range(cfg.max_inner_iters):
-            old = (u, v, w)
-            u = power_update(zc, u, v, w, 1, cfg.penalty, c, s)
-            v = u if cfg.symmetric_uv else power_update(zc, u, v, w, 2, cfg.penalty, c, s)
-            w = power_update(zc, u, v, w, 3, cfg.penalty, c, s)
-            if _factor_change((u, v, w), old) <= cfg.inner_tol:
-                break
-        d = float(ops.rank_one_contract(zc, u, v, w))
-        return (-d, (u, v, -w)) if d < 0.0 else (d, (u, v, w))
+        u = power_update(zc, u, v, w, 1, cfg.penalty, c, s)
+        v = u if cfg.symmetric_uv else power_update(zc, u, v, w, 2, cfg.penalty, c, s)
+        w = power_update(zc, u, v, w, 3, cfg.penalty, c, s)
+        return float(ops.rank_one_contract(zc, u, v, w)), (u, v, w)
 
-    return _mm_passes(x, cfg, mu0, d, (u, v, w), block_update)
+    return _mm_passes(x, cfg, mu0, d, (u, v, w), sweep)
 
 
 @pytest.mark.parametrize("masked", [False, True])
@@ -544,6 +536,18 @@ def test_l0_inits_are_feasible():
         assert int(np.sum(v != 0)) <= s[1]
 
 
+def test_malformed_init_is_refused_before_any_work():
+    x, _ = planted_rank_one()
+    cfg = FitConfig(rank=1)
+    with pytest.raises(ValueError, match=r"init needs \(u, v, w\) or \(u, v, w, d\), got 2"):
+        rank_one_mm_fit(x, cfg, init=(np.ones(30), np.ones(8)))
+    for mode in range(3):
+        init = [np.ones(p) for p in x.dims]
+        init[mode] = np.ones(x.dims[mode] + 1)
+        with pytest.raises(ValueError, match=f"^init vector for mode {mode + 1} has shape"):
+            rank_one_mm_fit(x, cfg, init=tuple(init))
+
+
 @pytest.mark.parametrize("penalty", ["none", "l1", "l0"])
 @pytest.mark.parametrize("bad", [0.0, np.nan])
 def test_zero_or_non_finite_start_vector_raises(penalty, bad):
@@ -563,7 +567,7 @@ def test_zero_or_non_finite_start_vector_raises(penalty, bad):
 def test_multi_start_single_start_matches_rank_one_plus_offset():
     x, _ = planted_rank_one()
     cfg = FitConfig(rank=1, n_starts=1, seed=6)
-    report = multi_start_fit(x, cfg)
+    report = fit(x, cfg, "tp")
     # the pipeline re-estimates from the winning start; mirror it manually
     first = mm_fit(x, cfg, seed=(6, 1, 0))
     re = rank_one_mm_fit(
@@ -582,8 +586,8 @@ def test_multi_start_single_start_matches_rank_one_plus_offset():
 def test_multi_start_all_traces_monotone_and_deterministic():
     x, _ = planted_rank_one()
     cfg = FitConfig(rank=2, n_starts=6, seed=8)
-    a = multi_start_fit(x, cfg)
-    b = multi_start_fit(x, cfg)
+    a = fit(x, cfg, "tp")
+    b = fit(x, cfg, "tp")
     assert np.array_equal(a.loss_trace, b.loss_trace)
     assert a.model.mu == b.model.mu
     np.testing.assert_array_equal(a.model.d, b.model.d)
@@ -599,8 +603,8 @@ def test_fit_rank_path_matches_direct_fits():
     x, _ = planted_rank_one()
     cfg = FitConfig(rank=2, n_starts=6, seed=12)
     path = fit_rank_path(x, cfg, ranks=(1, 2))
-    direct1 = multi_start_fit(x, FitConfig(rank=1, n_starts=6, seed=12))
-    direct2 = multi_start_fit(x, FitConfig(rank=2, n_starts=6, seed=12))
+    direct1 = fit(x, FitConfig(rank=1, n_starts=6, seed=12), "tp")
+    direct2 = fit(x, FitConfig(rank=2, n_starts=6, seed=12), "tp")
     np.testing.assert_allclose(path[1].model.d, direct1.model.d, atol=1e-10)
     np.testing.assert_allclose(path[2].model.d, direct2.model.d, atol=1e-10)
     assert path[1].model.mu == pytest.approx(direct1.model.mu, abs=1e-10)
@@ -615,11 +619,11 @@ def test_symmetric_mode_ties_u_and_v():
     theta = 18.0 * np.einsum("i,j,k->ijk", u, u, w)
     x = bernoulli_tensor(theta, seed=14)
     cfg = FitConfig(rank=1, symmetric_uv=True, n_starts=4, seed=0)
-    report = multi_start_fit(x, cfg)
+    report = fit(x, cfg, "tp")
     np.testing.assert_array_equal(report.model.U, report.model.V)
     bad_dims = bernoulli_tensor(rng.standard_normal((4, 5, 3)), seed=15)
     with pytest.raises(ValueError):
-        multi_start_fit(bad_dims, FitConfig(rank=1, symmetric_uv=True))
+        fit(bad_dims, FitConfig(rank=1, symmetric_uv=True), "tp")
 
 
 def test_als_fit_runs_and_descends():
@@ -690,16 +694,23 @@ def test_constant_data_is_refused_before_any_fit(method, value, masked):
         fit(x, cfg, method)
 
 
-def test_power_fit_with_both_classes_keeps_a_nonnegative_weight():
+def test_power_fit_with_both_classes_keeps_a_positive_weight():
     # the weight is the last mode-3 contraction against its own projection,
-    # so it never comes out negative, for any penalty or start
+    # so it is positive for any penalty or start, down to unit l1 budgets
+    # and single-entry l0 supports
     rng = np.random.default_rng(8)
     x = BinaryTensor.dense((rng.random((7, 5, 4)) < 0.3).astype(float))
-    for penalty, extra in (("none", {}), ("l1", {"c": (1.2, 1.2, 1.2)}), ("l0", {"s": (2, 2, 2)})):
+    for penalty, extra in (
+        ("none", {}),
+        ("l1", {"c": (1.2, 1.2, 1.2)}),
+        ("l1", {"c": (1.0, 1.0, 1.0)}),
+        ("l0", {"s": (2, 2, 2)}),
+        ("l0", {"s": (1, 1, 1)}),
+    ):
         cfg = FitConfig(rank=1, penalty=penalty, max_outer_iters=5, **extra)
         for seed in range(5):
             start = [rng.standard_normal(p) for p in x.dims]
-            assert rank_one_mm_fit(x, cfg, init=start).weight >= 0.0
+            assert rank_one_mm_fit(x, cfg, init=start).weight > 0.0
 
 
 TINY = 1e-300
@@ -729,6 +740,26 @@ def test_outer_stop_rule_reasons(solver):
     assert (converged, got, passes) == (False, "maximum outer iterations reached", 1)
     converged, got, passes = _stop_run(solver, x, max_outer_iters=3, **tight)
     assert (converged, got, passes) == (False, "maximum outer iterations reached", 3)
+
+
+@pytest.mark.parametrize("solver", ["rank_one", "als"])
+def test_inner_stop_rule_counts_sweeps(solver, monkeypatch):
+    # a rank-one sweep makes one power_update call; an ALS sweep makes three
+    # pinv solves, and the ALS start one more
+    x, _ = planted_rank_one()
+    target = (decomp, "power_update") if solver == "rank_one" else (np.linalg, "pinv")
+    real = getattr(*target)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(*target, counted)
+    for inner_tol, sweeps in ((TINY, 4), (1e300, 1)):
+        calls.clear()
+        _stop_run(solver, x, max_outer_iters=1, max_inner_iters=4, inner_tol=inner_tol)
+        assert len(calls) == (sweeps if solver == "rank_one" else 1 + 3 * sweeps)
 
 
 def test_fit_dispatch_and_config_validation():

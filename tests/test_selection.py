@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from logitcp.decomp import FitConfig, final_offset, multi_start_fit
+from logitcp.decomp import FitConfig, final_offset, fit
 from logitcp.likelihood import BinaryTensor, LogitModel, deviance, sigmoid
 from logitcp.selection import (
     SelectionGrid,
@@ -164,7 +164,7 @@ def test_cross_validate_single_cell_matches_manual_fold_loop():
     for train, test in folds:
         xtr = BinaryTensor(np.where(train, x.values, 0.0), train)
         xte = BinaryTensor(np.where(test, x.values, 0.0), test)
-        rep = multi_start_fit(xtr, cfg)
+        rep = fit(xtr, cfg, "tp")
         scores.append(neg_loglik(xte, rep.model))
     assert row.score == pytest.approx(float(np.mean(scores)), abs=1e-8)
 

@@ -129,8 +129,20 @@ def test_calibrate_baseline_positive_stable_and_memoized(monkeypatch):
     def boom(*args, **kwargs):
         raise AssertionError("refit despite cache")
 
-    monkeypatch.setattr(simulate.decomp, "multi_start_fit", boom)
+    monkeypatch.setattr(simulate.decomp, "fit_rank_path", boom)
     assert calibrate_baseline((7, 6, 5), 1, seed=0, reps=4) == d1
+
+
+def test_calibrate_baseline_refuses_no_replicates(monkeypatch):
+    def boom(*args, **kwargs):
+        raise AssertionError("fit despite no replicates")
+
+    monkeypatch.setattr(simulate.decomp, "fit_rank_path", boom)
+    cached = dict(simulate._baseline_cache)
+    for reps in (0, -1):
+        with pytest.raises(ValueError, match="reps must be >= 1"):
+            calibrate_baseline((7, 6, 5), 1, seed=0, reps=reps)
+    assert simulate._baseline_cache == cached
 
 
 def test_gen_dataset_uses_calibrated_baseline():
