@@ -210,14 +210,12 @@ def _run_complete(args):
             code = 3
     probs = model.probs()
     labels = impute(probs, args.threshold)
-    lines = ["i,j,k,prob,label"]
     # transposing makes the C-order nonzero scan run with i fastest
     k_idx, j_idx, i_idx = np.nonzero(~x.mask.T)
-    for i, j, k in zip(i_idx.tolist(), j_idx.tolist(), k_idx.tolist()):
-        lines.append(
-            f"{i + 1},{j + 1},{k + 1},{repr(float(probs[i, j, k]))},"
-            f"{int(labels[i, j, k])}"
-        )
+    cells = (i_idx, j_idx, k_idx)
+    rows = zip(*((a + 1).tolist() for a in cells), probs[cells].tolist(),
+               labels[cells].astype(int).tolist())
+    lines = ["i,j,k,prob,label", *(f"{i},{j},{k},{p!r},{lab}" for i, j, k, p, lab in rows)]
     fileio.atomic_write_text(args.out, "\n".join(lines) + "\n")
     print(f"wrote {args.out} ({len(lines) - 1} predicted cells)")
     if args.holdout:

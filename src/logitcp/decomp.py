@@ -23,7 +23,15 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import ops
-from .likelihood import LogitModel, loss_and_working, neg_loglik, sigmoid
+from .likelihood import (
+    BLOCK_CELLS,
+    LogitModel,
+    _logit_blocks,
+    _observed_sum,
+    loss_and_working,
+    neg_loglik,
+    sigmoid,
+)
 
 __all__ = [
     "DegenerateDirectionError",
@@ -134,8 +142,10 @@ def method_config(cfg, method, dims, ratio=None):
     return replace(cfg, penalty=penalty, c=c, s=s)
 
 
-def _check_config(x, cfg):
-    p1, p2, p3 = x.dims
+def _check_settings(dims, cfg):
+    """Check cfg against a tensor of shape dims; returns the l1 budgets c
+    and l0 cardinalities s as tuples, or None where the penalty has none."""
+    p1, p2, p3 = dims
     if cfg.rank < 1:
         raise ValueError(f"rank must be >= 1, got {cfg.rank}")
     if cfg.penalty not in ("none", "l1", "l0"):
@@ -183,6 +193,12 @@ def _check_config(x, cfg):
     else:
         if cfg.c is not None or cfg.s is not None:
             raise ValueError("c/s given but penalty is 'none'")
+    return c, s
+
+
+def _check_config(x, cfg):
+    """_check_settings on x's shape, and a refusal of constant data."""
+    c, s = _check_settings(x.dims, cfg)
     v = x.values  # unobserved cells hold 0
     if not v.any() or (v.all() if x.fully_observed else np.count_nonzero(v) == x.n_observed):
         raise ValueError(f"every observed cell is {int(v.any())}; constant data have no finite fit")
@@ -312,7 +328,8 @@ def power_update(zc, u, v, w, mode, penalty="none", c=None, s=None):
 
 def final_offset(x, theta_c=None):
     """Offset maximizing the observed-data log-likelihood for fixed centered
-    logits.
+    logits theta_c: a logit tensor of x's shape, the CP pieces (d, U, V, W)
+    of one, or None for all-zero logits.
 
     The gradient sum(x - sigmoid(mu + theta_c)) is strictly decreasing in mu,
     so the root is unique; Newton steps are safeguarded by bisection on
@@ -322,47 +339,54 @@ def final_offset(x, theta_c=None):
     alone, since the solvers refuse all-ones and all-zeros data before
     fitting (a direct call on such data returns 40 or -40). The search
     stops once |gradient| < 1e-8, or after 200 steps.
+
+    The gradient, and on Newton steps the curvature, are summed one block of
+    mode-1 rows at a time, with CP logits formed per block as the scoring
+    kernel forms them, so no full-size array is built. Without components
+    (None, or pieces of rank 0) every cell has logit mu and both sums are
+    closed-form.
     """
     tol = 1e-8
-    # on fully observed data the observed cells are all cells, in the order
-    # boolean indexing would give, so views replace the copies
-    dense = x.fully_observed
-    if theta_c is None:
-        tc = np.zeros(x.n_observed)
-    else:
-        theta_c = np.asarray(theta_c, dtype=float)
-        if theta_c.shape != x.dims:
-            raise ValueError(
-                f"centered logits shape {theta_c.shape} does not match data {x.dims}"
-            )
-        tc = theta_c.ravel() if dense else theta_c[x.mask]
-    xv = x.values.ravel() if dense else x.values[x.mask]
-    p, r = np.empty((2, xv.size))  # every step works in these two buffers
+    if isinstance(theta_c, tuple) and len(theta_c) != 4:
+        raise ValueError(f"centered logits need (d, U, V, W), got {len(theta_c)} pieces")
+    if theta_c is None or isinstance(theta_c, tuple) and np.size(theta_c[0]) == 0:
+        n, ones = x.n_observed, float(x.values.sum())  # unobserved cells hold 0
 
-    def grad(mu):  # sum of r = x - p, p = sigmoid(mu + tc)
-        np.add(tc, mu, out=p)
-        sigmoid(p, out=p)
-        np.subtract(xv, p, out=r)
-        return float(r.sum())
+        def sums(mu, curve):
+            p = float(sigmoid(mu))
+            return ones - n * p, n * p * (1.0 - p)
+
+    else:
+        src = (0.0, *theta_c) if isinstance(theta_c, tuple) else theta_c
+        obs = None if x.fully_observed else x.mask
+
+        def sums(mu, curve):  # sums of x - p and, if curve, p(1 - p); p = sigmoid(mu + theta_c)
+            g = h = 0.0
+            for a, b, p, r in _logit_blocks(x, src, mu, scratch=1):
+                ob = None if obs is None else obs[a:b]
+                sigmoid(p, out=p)
+                if curve:
+                    np.subtract(1.0, p, out=r)
+                    r *= p
+                    h += _observed_sum(r, ob)
+                np.subtract(x.values[a:b], p, out=p)
+                g += _observed_sum(p, ob)
+            return float(g), float(h)
 
     lo, hi = -40.0, 40.0
-    glo, ghi = grad(lo), grad(hi)
-    if glo <= tol:
+    if sums(lo, False)[0] <= tol:
         return lo
-    if ghi >= -tol:
+    if sums(hi, False)[0] >= -tol:
         return hi
     mu = 0.0
     for _ in range(200):
-        g = grad(mu)
+        g, curve = sums(mu, True)
         if abs(g) < tol:
             return mu
         if g > 0:
             lo = mu
         else:
             hi = mu
-        np.subtract(1.0, p, out=r)  # p still holds grad(mu)'s sigmoid
-        r *= p
-        curve = float(r.sum())
         if curve > 0:
             step = mu + g / curve
         else:
@@ -602,28 +626,54 @@ def _init_power(base, cfg, s, rng, spectral):
 # -------------------------------------------------------------------- ALS
 
 
-def _leading_left_singular(m, r, rng):
-    # top-r left singular vectors of m from the eigenpairs of the smaller
-    # Gram matrix g: they are its eigenvectors (g = m m^T) or m maps them to
-    # the left ones (g = m^T m). numpy's eigh has no top-r subset, so a g
-    # with more rows than 21 blocks of r + 4 columns is first projected onto
-    # the block Krylov space those blocks span (Musco & Musco 2015)
-    wide = m.shape[0] <= m.shape[1]
-    g = m @ m.T if wide else m.T @ m
-    n, b, steps = g.shape[0], min(r + 4, g.shape[0]), 20
-    basis = np.eye(n)
+def _leading_left_singular(m, r, rng, gram=None):
+    """Top-r left singular vectors of the matrix m as unit columns; columns
+    past m's numerical rank are random unit vectors.
+
+    They are the top eigenvectors of the smaller Gram matrix g: g = m m^T
+    itself, or g = m^T m, whose eigenvectors m maps to the left ones.
+    numpy's eigh has no top-r subset, so when g has more rows than 21 blocks
+    of r + 4 columns, eigh runs on g projected onto the block Krylov space
+    those blocks span (Musco & Musco 2015). That iteration multiplies by m
+    and m^T in turn, so it forms no Gram matrix and no identity basis;
+    only a g small enough for a direct eigh is formed. A caller that has
+    summed m m^T itself passes it as `gram`, with m None.
+    """
+    if m is None:
+        wide, g = True, gram
+        n = g.shape[0]
+
+        def gmul(b):
+            return g @ b
+
+    else:
+        wide = m.shape[0] <= m.shape[1]
+        n = m.shape[0] if wide else m.shape[1]
+
+        def gmul(b):
+            return m @ (m.T @ b) if wide else m.T @ (m @ b)
+
+    b, steps = min(r + 4, n), 20
+    basis = None
     if n > b * (steps + 1):
         blocks = [np.linalg.qr(rng.standard_normal((n, b)))[0]]
         for _ in range(steps):
-            blocks.append(np.linalg.qr(g @ blocks[-1])[0])
+            blocks.append(np.linalg.qr(gmul(blocks[-1]))[0])
         basis = np.linalg.qr(np.hstack(blocks))[0]
+        h = basis.T @ gmul(basis)
+    elif m is None:
+        h = g
+    else:
+        h = m @ m.T if wide else m.T @ m
     try:
-        ev, vecs = np.linalg.eigh(basis.T @ g @ basis)
+        ev, vecs = np.linalg.eigh(h)
     except np.linalg.LinAlgError:
-        ev, vecs = np.zeros(0), np.zeros((basis.shape[1], 0))
-    cols = basis @ vecs[:, np.flatnonzero(ev > 0)[::-1][:r]]
+        ev, vecs = np.zeros(0), np.zeros((h.shape[0], 0))
+    cols = vecs[:, np.flatnonzero(ev > 0)[::-1][:r]]
+    if basis is not None:
+        cols = basis @ cols
     cols = cols if wide else m @ cols
-    fill = rng.standard_normal((m.shape[0], r - cols.shape[1]))
+    fill = rng.standard_normal((n if wide else m.shape[0], r - cols.shape[1]))
     return _normalize_cols_inplace(np.hstack([cols, fill]), rng)
 
 
@@ -631,18 +681,33 @@ def _init_als(x, cfg, rng, spectral):
     """ALS start (mu, d, U, V, W). U and V are the top-r left singular
     vectors of the mode-1 and mode-2 unfoldings of the centered sign tensor
     (HOSVD-style), or Gaussian columns when spectral is False; W and d then
-    come from the least-squares solve of the mode-3 unfolding."""
+    come from the least-squares solve of the mode-3 unfolding.
+
+    No unfolding is copied, except mode 2's when it is tall. A permutation
+    of an unfolding's columns keeps its left singular vectors, so mode 1
+    reads the C-order view (p1, p2*p3); mode 2's Gram is summed over blocks
+    of mode-1 rows; and mode 3 solves on the C-order view (p1*p2, p3), with
+    the rows of the pseudo-inverse permuted to its (i, j) order, j fastest.
+    """
     q, mu = _base_tensor(x)
-    p1, p2 = x.dims[:2]
+    p1, p2, p3 = x.dims
     r = cfg.rank
     if spectral:
-        u_mat = _leading_left_singular(ops.matricize(q, 1), r, rng)
-        v_mat = _leading_left_singular(ops.matricize(q, 2), r, rng)
+        u_mat = _leading_left_singular(q.reshape(p1, -1), r, rng)
+        if p2 <= p1 * p3:
+            g2 = np.zeros((p2, p2))
+            rows = max(1, BLOCK_CELLS // (p2 * p3))
+            for a in range(0, p1, rows):
+                m2 = q[a:a + rows].transpose(1, 0, 2).reshape(p2, -1)
+                g2 += m2 @ m2.T
+            v_mat = _leading_left_singular(None, r, rng, gram=g2)
+        else:  # a tall unfolding, whose p2 x p2 Gram would outgrow the tensor
+            v_mat = _leading_left_singular(ops.matricize(q, 2), r, rng)
     else:
         u_mat = _normalize_cols_inplace(rng.standard_normal((p1, r)), rng)
         v_mat = _normalize_cols_inplace(rng.standard_normal((p2, r)), rng)
-    kr = ops.khatri_rao(v_mat, u_mat)
-    cmat = ops.matricize(q, 3) @ np.linalg.pinv(kr.T, rcond=1e-10)
+    pinv = np.linalg.pinv(ops.khatri_rao(v_mat, u_mat).T, rcond=1e-10)  # rows (j, i), i fastest
+    cmat = q.reshape(p1 * p2, p3).T @ pinv.reshape(p2, p1, r).transpose(1, 0, 2).reshape(p1 * p2, r)
     d = np.linalg.norm(cmat, axis=0)
     w_mat = _normalize_cols_inplace(cmat, rng)
     order = np.argsort(-d, kind="stable")
@@ -733,18 +798,21 @@ def _tuple_distance(a, b):
 
 
 def _run_pool(x, cfg, s, count, stream):
+    # every start reads the base tensor only, through its own random stream,
+    # so all of them are drawn first and the base tensor is freed before the
+    # MM runs allocate their working tensor
     base = _base_tensor(x)
     spectral = cfg.init == "spectral" and stream == 1
-
-    def one(tau):
-        rng = _rng(cfg.seed, stream, tau)
+    starts = [_init_power(base, cfg, s, _rng(cfg.seed, stream, tau), spectral)
+              for tau in range(count)]
+    del base
+    pool = []
+    for u, v, w, d, mu0 in starts:
         try:
-            u, v, w, d, mu0 = _init_power(base, cfg, s, rng, spectral)
-            return rank_one_mm_fit(x, cfg, init=(u, v, w, d), mu0=mu0)
+            pool.append(rank_one_mm_fit(x, cfg, init=(u, v, w, d), mu0=mu0))
         except DegenerateDirectionError:
-            return None
-
-    return [f for f in map(one, range(count)) if f is not None]
+            pass
+    return pool
 
 
 def fit_rank_path(x, cfg, ranks):
@@ -792,8 +860,7 @@ def _report_from_components(x, cfg, rank, comps, start_traces):
     u_mat = np.column_stack([f.u for f in comps])
     v_mat = np.column_stack([f.v for f in comps])
     w_mat = np.column_stack([f.w for f in comps])
-    theta_c = ops.cp_reconstruct(0.0, d, u_mat, v_mat, w_mat)
-    mu = final_offset(x, theta_c)
+    mu = final_offset(x, (d, u_mat, v_mat, w_mat))
     all_converged = all(f.converged for f in comps)
     if found < rank:
         converged = False

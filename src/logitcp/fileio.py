@@ -196,12 +196,13 @@ def write_binary_tensor(path, x):
 
 def read_binary_tensor(path):
     """Read a tensor file as binary observations; absent records are
-    unobserved cells."""
+    unobserved cells. BinaryTensor's own checks run on it, and their errors
+    name the path."""
     values, mask = read_tensor(path)
-    stored = values[mask]
-    if not np.all((stored == 0.0) | (stored == 1.0)):
-        raise ValueError(f"{path}: binary tensor holds values other than 0/1")
-    return BinaryTensor(values, mask)
+    try:
+        return BinaryTensor(values, mask)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def _matrix_lines(m):

@@ -57,6 +57,10 @@ class BinaryTensor:
 
     values: (p1, p2, p3) array of 0.0/1.0; unobserved cells hold 0.
     mask:   boolean array of the same shape, True where observed.
+
+    Unobserved cells may hold anything on input; they are set to 0 (in a
+    copy, only when some cell is unobserved), and then every cell is
+    checked, so the check gathers no copy of the observed values.
     """
 
     values: np.ndarray
@@ -73,12 +77,13 @@ class BinaryTensor:
             )
         if not self.mask.any():
             raise ValueError("mask is empty: at least one cell must be observed")
-        observed = self.values[self.mask]
-        if not np.all((observed == 0.0) | (observed == 1.0)):
-            raise ValueError("observed values must be exactly 0 or 1")
         # unobserved cells are forced to 0 so array arithmetic can ignore them
         if not self.mask.all():
             self.values = np.where(self.mask, self.values, 0.0)
+        # every cell is 0 or 1 exactly when the nonzero cells are the cells
+        # equal to 1 (nan and inf count as nonzero and differ from 1)
+        if np.count_nonzero(self.values) != np.count_nonzero(self.values == 1.0):
+            raise ValueError("observed values must be exactly 0 or 1")
 
     @classmethod
     def dense(cls, values):
@@ -178,28 +183,18 @@ def deviance(x, model):
 BLOCK_CELLS = 2**15
 
 
-def loss_and_working(x, theta, out=None):
-    """Negative log-likelihood of the logits theta over the observed cells;
-    theta is a logit tensor of x's shape or the CP pieces (mu, d, U, V, W)
-    of one. With `out`, the working tensor around theta is also written
-    into it and (loss, sum over observed cells of x - sigmoid(theta)) is
-    returned. The working tensor holds the quadratic-majorizer targets:
-    observed cells get z = theta + 4*(x - sigmoid(theta)), unobserved cells
-    keep theta, which makes the surrogate ignore them.
+def _logit_blocks(x, theta, offset=0.0, scratch=0):
+    """The logits theta + offset of x's cells, one block of mode-1 rows of
+    about BLOCK_CELLS cells at a time, so no full-size array is built.
 
-    Blocks of mode-1 rows of about BLOCK_CELLS cells are scored in turn, so
-    no logit tensor is built. CP logits are formed per block by one matmul
-    whose extra column carries the offset,
-    [U[a:b] diag(d), mu 1] [khatri_rao(V, W), 1]^T: its inner size is
-    R + 1 >= 2, so rank-one logits avoid BLAS's slow inner-size-1 path and
-    no separate pass adds mu. In a block both results come from one
-    s = sigmoid(theta): the cell loss is max(theta, 0) - log(max(s, 1 - s))
-    and the working tensor is theta + 4*(x - s). max(s, 1 - s) is
-    sigmoid(|theta|), which lies in [1/2, 1], where s and 1 - s are both
-    within an ulp of their true values; so its log is accurate to a few ulp
-    of 1 at any |theta|, and the exact max(theta, 0) carries the rest of the
-    loss. The other side would not do: past |theta| of about 37, 1 - s for
-    theta > 0 rounds to 0 and its log is -inf.
+    theta is a logit tensor of x's shape or the CP pieces (mu, d, U, V, W)
+    of one. Yields (a, b, t, *spare) for rows a:b: t holds the block's
+    logits and `scratch` spare buffers its shape; all are reused from block
+    to block and free for the caller to overwrite. CP logits are formed by
+    one matmul whose extra column carries the offset,
+    [U[a:b] diag(d), (mu + offset) 1] [khatri_rao(V, W), 1]^T: its inner
+    size is R + 1 >= 2, so rank-one logits avoid BLAS's slow inner-size-1
+    path and no separate pass adds the offset.
     """
     cp = isinstance(theta, tuple)
     if cp:
@@ -207,9 +202,9 @@ def loss_and_working(x, theta, out=None):
         U = np.asarray(U, dtype=float)
         r = U.shape[1]
         shape = (U.shape[0], len(V), len(W))
-        ud = np.empty((shape[0], r + 1))  # [U diag(d), mu 1]
+        ud = np.empty((shape[0], r + 1))  # [U diag(d), (mu + offset) 1]
         np.multiply(U, np.asarray(d, dtype=float).reshape(-1), out=ud[:, :r])
-        ud[:, r] = mu
+        ud[:, r] = mu + offset
         krt = np.ones((r + 1, shape[1] * shape[2]))  # [khatri_rao(V, W), 1]^T
         krt[:r] = ops.khatri_rao(V, W).T
     else:
@@ -219,17 +214,41 @@ def loss_and_working(x, theta, out=None):
         raise ValueError(f"logits shape {shape} does not match data {x.dims}")
     p1, p2, p3 = shape
     rows = min(p1, max(1, BLOCK_CELLS // (p2 * p3)))
-    buf, sig_buf, tmp = np.empty((3, rows, p2, p3))
-    obs = None if x.fully_observed else x.mask
-    nll = resid = 0.0
+    buf = np.empty((1 + scratch, rows, p2, p3))
     for a in range(0, p1, rows):
         b = min(a + rows, p1)
-        u, t = buf[: b - a], tmp[: b - a]
-        th = u if cp else theta[a:b]
+        blk = buf[:, : b - a]
         if cp:
-            np.matmul(ud[a:b], krt, out=th.reshape(b - a, -1))
+            np.matmul(ud[a:b], krt, out=blk[0].reshape(b - a, -1))
+        else:
+            np.add(theta[a:b], offset, out=blk[0])
+        yield (a, b, *blk)
+
+
+def loss_and_working(x, theta, out=None):
+    """Negative log-likelihood of the logits theta over the observed cells;
+    theta is a logit tensor of x's shape or the CP pieces (mu, d, U, V, W)
+    of one. With `out`, the working tensor around theta is also written
+    into it and (loss, sum over observed cells of x - sigmoid(theta)) is
+    returned. The working tensor holds the quadratic-majorizer targets:
+    observed cells get z = theta + 4*(x - sigmoid(theta)), unobserved cells
+    keep theta, which makes the surrogate ignore them.
+
+    The logits come block by block from _logit_blocks, so no logit tensor is
+    built. In a block both results come from one s = sigmoid(theta): the
+    cell loss is max(theta, 0) - log(max(s, 1 - s)) and the working tensor
+    is theta + 4*(x - s). max(s, 1 - s) is sigmoid(|theta|), which lies in
+    [1/2, 1], where s and 1 - s are both within an ulp of their true values;
+    so its log is accurate to a few ulp of 1 at any |theta|, and the exact
+    max(theta, 0) carries the rest of the loss. The other side would not do:
+    past |theta| of about 37, 1 - s for theta > 0 rounds to 0 and its log is
+    -inf.
+    """
+    obs = None if x.fully_observed else x.mask
+    nll = resid = 0.0
+    for a, b, th, sig_buf, t in _logit_blocks(x, theta, scratch=2):
         xb, ob = x.values[a:b], None if obs is None else obs[a:b]
-        s = sigmoid(th, out=sig_buf[: b - a] if out is None else out[a:b])
+        s = sigmoid(th, out=sig_buf if out is None else out[a:b])
         np.subtract(1.0, s, out=t)
         np.maximum(s, t, out=t)
         np.log(t, out=t)  # log sigmoid(|theta|)
@@ -239,9 +258,9 @@ def loss_and_working(x, theta, out=None):
             s *= 4.0
             resid += _observed_sum(s, ob)
             s += th  # z; unobserved cells hold 0 + theta
-        np.maximum(th, 0.0, out=u)  # theta is not read after this
-        u -= t
-        nll += _observed_sum(u, ob) - xth
+        np.maximum(th, 0.0, out=th)  # theta is not read after this
+        th -= t
+        nll += _observed_sum(th, ob) - xth
     return float(nll) if out is None else (float(nll), float(resid) / 4.0)
 
 

@@ -134,6 +134,10 @@ def calibrate_baseline(dims, rank, seed=0, reps=100):
     if int(reps) < 1:
         raise ValueError(f"reps must be >= 1, got {reps}")
     dims = tuple(int(p) for p in dims)
+    cfg = decomp.FitConfig(rank=int(rank), n_starts=10, init="spectral")
+    # a bad setting (say, rank above the 10 starts) is the caller's error,
+    # not a failed replicate, so it is raised here, before any fit
+    decomp._check_settings(dims, cfg)
     key = (dims, int(rank), decomp._seed_tuple(seed), int(reps))
     if key in _baseline_cache:
         return _baseline_cache[key]
@@ -141,14 +145,10 @@ def calibrate_baseline(dims, rank, seed=0, reps=100):
     for rep in range(int(reps)):
         rng = decomp._rng(seed, 101, rep)
         x = BinaryTensor.dense((rng.random(dims) < 0.5).astype(float))
-        cfg = decomp.FitConfig(
-            rank=int(rank),
-            n_starts=10,
-            init="spectral",
-            seed=decomp._seed_tuple(seed, 102, rep),
-        )
         try:
-            report = decomp.fit_rank_path(x, cfg, [cfg.rank])[cfg.rank]
+            report = decomp.fit_rank_path(
+                x, replace(cfg, seed=decomp._seed_tuple(seed, 102, rep)), [cfg.rank]
+            )[cfg.rank]
         except (decomp.DegenerateDirectionError, RuntimeError, ValueError):
             continue
         if report.clusters_found < rank:
@@ -182,9 +182,12 @@ def gen_dataset(cfg, baseline_weight=None):
     rng = decomp._rng(cfg.seed, 7)
     u_mat, v_mat, w_mat = gen_sparse_factors(cfg, rng)
     d = np.asarray(cfg.snr, dtype=float) * db
-    theta = ops.cp_reconstruct(cfg.mu, d, u_mat, v_mat, w_mat)
-    probs = sigmoid(theta)
-    values = (rng.random(cfg.dims) < probs).astype(float)
+    # the probabilities overwrite the logits and the data overwrite the
+    # uniform draws, so two full-size buffers serve the whole draw
+    probs = ops.cp_reconstruct(cfg.mu, d, u_mat, v_mat, w_mat)
+    sigmoid(probs, out=probs)
+    values = rng.random(cfg.dims)
+    np.less(values, probs, out=values)
     x = BinaryTensor.dense(values)
     truth = GroundTruth(LogitModel(cfg.mu, d, u_mat, v_mat, w_mat), probs, db)
     return x, truth

@@ -7,12 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from logitcp import decomp, ops
+from logitcp import decomp, likelihood, ops
 from logitcp.decomp import (
     DegenerateDirectionError,
     FitConfig,
     _base_tensor,
     _check_config,
+    _init_als,
     _init_power,
     _leading_left_singular,
     _mm_passes,
@@ -30,7 +31,7 @@ from logitcp.decomp import (
     soft_threshold,
     truncate_top,
 )
-from logitcp.likelihood import BinaryTensor, neg_loglik, sigmoid
+from logitcp.likelihood import BinaryTensor, neg_loglik, sigmoid, softplus
 from logitcp.simulate import SimConfig, gen_sparse_factors
 
 MONOTONE_SLACK = 1e-9
@@ -291,24 +292,48 @@ def test_offset_step_is_mean_of_working_minus_centered_logits(dims, masked):
     np.testing.assert_allclose(seen[0], y - mu, rtol=0, atol=1e-12)
 
 
-def test_final_offset_symmetry_and_saturation():
+def zero_logits(form, dims):
+    """All-zero centered logits in one of final_offset's input forms."""
+    if form == "none":
+        return None
+    if form == "tensor":
+        return np.zeros(dims)
+    r = int(form[-1])  # "pieces0" or "pieces1": (d, U, V, W) of that rank
+    return (np.zeros(r), *(np.eye(p, r) for p in dims))
+
+
+@pytest.mark.parametrize("form", ["none", "tensor", "pieces0", "pieces1"])
+def test_final_offset_symmetry_and_saturation(form):
     half = np.zeros((2, 2, 2))
     half[0] = 1.0
     x = BinaryTensor.dense(half)
-    assert final_offset(x) == pytest.approx(0.0, abs=1e-6)
+    assert final_offset(x, zero_logits(form, x.dims)) == pytest.approx(0.0, abs=1e-6)
     ones = BinaryTensor.dense(np.ones((2, 2, 2)))
-    assert final_offset(ones) == 40.0
+    assert final_offset(ones, zero_logits(form, ones.dims)) == 40.0
+    zeros = BinaryTensor.dense(np.zeros((2, 2, 2)))
+    assert final_offset(zeros, zero_logits(form, zeros.dims)) == -40.0
 
 
-def test_final_offset_matches_grid_oracle():
+@pytest.mark.parametrize("rank", [0, 1, 2])
+@pytest.mark.parametrize("masked", [False, True])
+def test_final_offset_matches_grid_oracle(masked, rank, monkeypatch):
+    # blocks of one mode-1 row, so the block sums run over several blocks
+    monkeypatch.setattr(likelihood, "BLOCK_CELLS", 1)
     rng = np.random.default_rng(4)
-    vals = (rng.random((3, 3, 3)) < 0.3).astype(float)
-    x = BinaryTensor.dense(vals)
-    theta_c = rng.standard_normal((3, 3, 3))
+    dims = (4, 3, 3)
+    vals = (rng.random(dims) < 0.3).astype(float)
+    mask = rng.random(dims) >= 0.25 if masked else np.ones(dims, dtype=bool)
+    x = BinaryTensor(vals, mask)
+    d = np.sort(1.0 + rng.random(rank))[::-1]
+    factors = [f / np.linalg.norm(f, axis=0) for f in (rng.standard_normal((p, rank)) for p in dims)]
+    theta_c = ops.cp_reconstruct(0.0, d, *factors)
     got = final_offset(x, theta_c)
-    grid = np.arange(-6.0, 6.0, 1e-4)
-    nlls = [neg_loglik(x, m + theta_c) for m in grid]
-    oracle = grid[int(np.argmin(nlls))]
+    assert final_offset(x, (d, *factors)) == pytest.approx(got, rel=0, abs=1e-12)
+    # the observed-cell negative log-likelihood at every grid offset
+    grid = np.arange(-6.0, 6.0, 1e-4)[:, None]
+    t = grid + theta_c[mask]
+    nlls = (softplus(t) - vals[mask] * t).sum(axis=1)
+    oracle = grid[int(np.argmin(nlls)), 0]
     assert got == pytest.approx(oracle, abs=1e-3)
 
 
@@ -671,6 +696,29 @@ def test_als_spectral_start_on_a_large_gram_matches_svd_subspace(shape, true_ran
     ref = left[:, :r]
     np.testing.assert_allclose(cols.T @ cols, np.eye(r), atol=1e-10)
     np.testing.assert_allclose(np.abs(np.sum(cols * ref, axis=0)), 1.0, atol=1e-10)
+
+
+@pytest.mark.parametrize("dims", [(150, 20, 10), (60, 4, 3), (2, 30, 3)],
+                         ids=["mode1-krylov", "mode1-tall", "mode2-tall"])
+def test_als_start_matches_the_unfoldings_it_never_copies(dims, monkeypatch):
+    # blocks of 3 mode-1 rows at (150, 20, 10), so mode 2's Gram sums 50 of them
+    monkeypatch.setattr(decomp, "BLOCK_CELLS", 600)
+    rng = np.random.default_rng(7)
+    if dims[0] > 21 * 6:
+        # mode 1 takes the Krylov route (21 blocks of r + 4 = 6 columns); a
+        # rank-one sign pattern makes the centered sign tensor rank two, so
+        # the leading two-dimensional subspaces are exact
+        signs = [np.sign(rng.standard_normal(p)) for p in dims]
+        x = BinaryTensor.dense(np.einsum("i,j,k->ijk", *signs) > 0)
+    else:  # a direct eigh of a small Gram matrix
+        x = BinaryTensor.dense(rng.random(dims) < 0.5)
+    q = _base_tensor(x)[0]
+    mu, d, u_mat, v_mat, w_mat = _init_als(x, FitConfig(rank=2), np.random.default_rng(0), True)
+    for mode, cols in ((1, u_mat), (2, v_mat)):
+        ref = np.linalg.svd(ops.matricize(q, mode), full_matrices=False)[0][:, :2]
+        np.testing.assert_allclose(cols @ cols.T, ref @ ref.T, atol=1e-10)
+    cmat = ops.matricize(q, 3) @ np.linalg.pinv(ops.khatri_rao(v_mat, u_mat).T, rcond=1e-10)
+    np.testing.assert_allclose(w_mat * d, cmat, atol=1e-10)
 
 
 @pytest.mark.parametrize("shape", [(40, 6), (6, 40)])

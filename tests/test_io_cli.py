@@ -1,6 +1,7 @@
 """Text file formats and the command line interface."""
 
 import csv
+import math
 import re
 import warnings
 
@@ -79,8 +80,10 @@ def test_read_tensor_error_paths(tmp_path):
         fileio.read_tensor(written("dims 2 2 2\n3 1 1 1\n"))
     with pytest.raises(ValueError, match="duplicate"):
         fileio.read_tensor(written("dims 2 2 2\n1 1 1 1\n1 1 1 0\n"))
-    with pytest.raises(ValueError, match="other than 0/1"):
+    with pytest.raises(ValueError, match="bad.txt: observed values must be exactly 0 or 1"):
         fileio.read_binary_tensor(written("dims 2 2 2\n1 1 1 0.5\n"))
+    with pytest.raises(ValueError, match="bad.txt: mask is empty"):
+        fileio.read_binary_tensor(written("dims 2 2 2\n"))
     for token in ("nan", "inf", "-inf"):
         with pytest.raises(ValueError, match=f":3: non-finite value '{token}'"):
             fileio.read_tensor(written(f"dims 1 1 2\n1 1 1 0.5\n1 1 2 {token}\n"))
@@ -399,6 +402,17 @@ def test_cli_simulate_usage_errors(tmp_path, capsys):
     assert rc == 2  # snr must be positive
 
 
+def test_cli_simulate_names_a_calibration_config_error(tmp_path, capsys):
+    # rank 11 is above the 10 starts the noise baseline fits from: a usage
+    # error, found before any replicate is fitted
+    out = tmp_path / "d"
+    rc = run_cli("simulate", "--dims", "12,6,5", "--rank", "11", "--snr", ",".join(["3"] * 11),
+                 "--seed", "0", "--baseline-reps", "3", "--out", out)
+    assert rc == 2
+    assert capsys.readouterr().err == "error: n_starts=10 must be at least rank=11\n"
+    assert not out.exists()
+
+
 # dims of 10^6 per mode ask for 8e18 bytes: more than any address space
 # maps, so the allocation fails at once on every host
 HUGE_DIMS = "dims 1000000 1000000 1000000\n1 1 1 1\n"
@@ -602,16 +616,40 @@ def test_cli_complete_with_model_and_holdout(sim_file, tmp_path, capsys):
         i, j, k, prob, label = line.split(",")
         assert not kept.mask[int(i) - 1, int(j) - 1, int(k) - 1]
         assert 0.0 <= float(prob) <= 1.0 and label in ("0", "1")
-    # reference: every unobserved cell, first index fastest
     probs = fileio.read_model(modelfile)[0].probs()
-    want = []
-    for k in range(kept.dims[2]):
-        for j in range(kept.dims[1]):
-            for i in range(kept.dims[0]):
-                if not kept.mask[i, j, k]:
+    assert out.read_bytes() == predictions_per_cell(kept.mask, probs)
+
+    # a model whose probabilities reach both ends of [0, 1], plus 0.5 and
+    # about 1e-05, on the unobserved fiber (:, 1, 1)
+    mask = kept.mask.copy()
+    mask[:, 0, 0] = False
+    data2 = tmp_path / "masked2.txt"
+    fileio.write_binary_tensor(data2, BinaryTensor(kept.values, mask))
+    t = np.zeros(kept.dims[0])
+    t[:4] = [-700.0, 40.0, math.log(1e-5 / (1 - 1e-5)), -800.0]
+    model = LogitModel(0.0, [np.linalg.norm(t)], (t / np.linalg.norm(t))[:, None],
+                       *(np.eye(p, 1) for p in kept.dims[1:]))
+    fileio.write_model(tmp_path / "edge.model", model)
+    rc = run_cli("complete", "--data", data2, "--model", tmp_path / "edge.model", "--out", out)
+    assert rc == 0
+    probs = fileio.read_model(tmp_path / "edge.model")[0].probs()
+    edge = probs[:5, 0, 0]
+    assert 0.0 < edge[0] < 1e-300 and edge[1] == 1.0 and edge[3] == 0.0 and edge[4] == 0.5
+    assert edge[2] == pytest.approx(1e-05, rel=1e-12)
+    assert out.read_bytes() == predictions_per_cell(mask, probs)
+
+
+def predictions_per_cell(mask, probs):
+    """The predictions CSV written one unobserved cell at a time, first
+    index fastest."""
+    lines = ["i,j,k,prob,label"]
+    for k in range(mask.shape[2]):
+        for j in range(mask.shape[1]):
+            for i in range(mask.shape[0]):
+                if not mask[i, j, k]:
                     p = float(probs[i, j, k])
-                    want.append(f"{i + 1},{j + 1},{k + 1},{p!r},{int(p >= 0.5)}")
-    assert lines[1:] == want
+                    lines.append(f"{i + 1},{j + 1},{k + 1},{p!r},{int(p >= 0.5)}")
+    return ("\n".join(lines) + "\n").encode()
 
 
 def test_cli_complete_fit_flags_path(sim_file, tmp_path, capsys):

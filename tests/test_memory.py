@@ -1,0 +1,55 @@
+"""Memory held by a fit and by a simulated draw, beyond their inputs.
+
+A fit may hold the data plus one full-size float64 array (the working tensor
+of the MM pass, or the centered sign tensor of a start), plus block-sized
+scratch; a simulated draw holds its two outputs. The peaks are traced
+allocations, in units of one full-size array, x.values.nbytes.
+"""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from logitcp import decomp, simulate
+from logitcp.likelihood import BinaryTensor
+
+DIMS = (400, 80, 10)
+RATIOS = {"tp": None, "tsp": 0.5, "ttp": 0.2, "als": None}
+BOUNDS = {"tp": 1.5, "tsp": 1.5, "ttp": 1.5, "als": 2.0}
+
+
+def traced_peak(fn):
+    """fn's result and the peak of traced memory during the call, beyond
+    what was allocated before it."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        out = fn()
+        return out, tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture(scope="module")
+def data():
+    x, _ = simulate.gen_dataset(simulate.SimConfig(DIMS, 1, (3.0,), seed=0), baseline_weight=60.0)
+    keep = np.random.default_rng(1).random(DIMS) >= 0.2
+    return {"dense": x, "masked": BinaryTensor(np.where(keep, x.values, 0.0), keep)}
+
+
+@pytest.mark.parametrize("method", list(RATIOS))
+@pytest.mark.parametrize("layout", ["dense", "masked"])
+def test_fit_holds_at_most_one_full_size_array(data, layout, method):
+    x = data[layout]
+    cfg = decomp.FitConfig(rank=2, n_starts=2, max_outer_iters=3, seed=0)
+    cfg = decomp.method_config(cfg, method, DIMS, RATIOS[method])
+    _, peak = traced_peak(lambda: decomp.fit(x, cfg, method))
+    assert peak / x.values.nbytes <= BOUNDS[method]
+
+
+def test_gen_dataset_draws_in_two_full_size_buffers():
+    cfg = simulate.SimConfig(DIMS, 1, (3.0,), seed=0)
+    (x, _), peak = traced_peak(lambda: simulate.gen_dataset(cfg, baseline_weight=60.0))
+    assert peak / x.values.nbytes <= 2.5

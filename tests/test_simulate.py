@@ -145,6 +145,17 @@ def test_calibrate_baseline_refuses_no_replicates(monkeypatch):
     assert simulate._baseline_cache == cached
 
 
+@pytest.mark.parametrize("rank, cause", [(40, "n_starts=10 must be at least rank=40"),
+                                         (0, "rank must be >= 1, got 0")])
+def test_calibrate_baseline_names_a_config_error_before_fitting(monkeypatch, rank, cause):
+    def boom(*args, **kwargs):
+        raise AssertionError("fit despite a bad config")
+
+    monkeypatch.setattr(simulate.decomp, "fit_rank_path", boom)
+    with pytest.raises(ValueError, match=f"^{cause}$"):
+        calibrate_baseline((7, 6, 5), rank, reps=3)
+
+
 def test_gen_dataset_uses_calibrated_baseline():
     cfg = SimConfig((7, 6, 5), 1, (3.0,), seed=3, baseline_reps=4)
     x, truth = gen_dataset(cfg)
