@@ -8,144 +8,6 @@ multi-start clustering for stability, and information-criterion or
 cross-validation model selection on top.
 """
 
-from .decomp import (
-    DegenerateDirectionError,
-    FitConfig,
-    FitReport,
-    RankOneFit,
-    als_fit,
-    c_from_ratio,
-    fit,
-    fit_rank_path,
-    final_offset,
-    l1_project,
-    rank_one_mm_fit,
-    s_from_ratio,
-    soft_threshold,
-    truncate_top,
-)
-from .fileio import (
-    read_binary_tensor,
-    read_model,
-    read_tensor,
-    write_binary_tensor,
-    write_model,
-    write_tensor,
-)
-from .likelihood import (
-    BinaryTensor,
-    LogitModel,
-    deviance,
-    impute,
-    majorizer_gap,
-    neg_loglik,
-    sigmoid,
-    softplus,
-)
-from .metrics import (
-    EvalReport,
-    completion_auc,
-    evaluate,
-    mean_error,
-    rmse,
-    tpr_fpr,
-    weight_error,
-)
-from .ops import (
-    cp_reconstruct,
-    fold,
-    frob_norm,
-    hadamard,
-    khatri_rao,
-    matricize,
-    rank_one_contract,
-)
-from .selection import (
-    ExplainedDeviance,
-    ScoreTable,
-    SelectionGrid,
-    aic,
-    bic,
-    cross_validate,
-    cv_split,
-    explained_deviance,
-    ic_sweep,
-    model_df,
-    select_model,
-)
-from .simulate import (
-    SCENARIOS,
-    GroundTruth,
-    SimConfig,
-    calibrate_baseline,
-    drop_uniform,
-    gen_dataset,
-    gen_sparse_factors,
-    scenario,
-)
+from . import decomp, fileio, likelihood, metrics, ops, selection, simulate
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "BinaryTensor",
-    "DegenerateDirectionError",
-    "EvalReport",
-    "ExplainedDeviance",
-    "FitConfig",
-    "FitReport",
-    "GroundTruth",
-    "LogitModel",
-    "RankOneFit",
-    "SCENARIOS",
-    "ScoreTable",
-    "SelectionGrid",
-    "SimConfig",
-    "aic",
-    "als_fit",
-    "bic",
-    "c_from_ratio",
-    "calibrate_baseline",
-    "completion_auc",
-    "cp_reconstruct",
-    "cross_validate",
-    "cv_split",
-    "deviance",
-    "drop_uniform",
-    "evaluate",
-    "explained_deviance",
-    "final_offset",
-    "fit",
-    "fit_rank_path",
-    "fold",
-    "frob_norm",
-    "gen_dataset",
-    "gen_sparse_factors",
-    "hadamard",
-    "ic_sweep",
-    "impute",
-    "khatri_rao",
-    "l1_project",
-    "majorizer_gap",
-    "matricize",
-    "mean_error",
-    "model_df",
-    "neg_loglik",
-    "rank_one_contract",
-    "rank_one_mm_fit",
-    "read_binary_tensor",
-    "read_model",
-    "read_tensor",
-    "rmse",
-    "s_from_ratio",
-    "scenario",
-    "select_model",
-    "sigmoid",
-    "soft_threshold",
-    "softplus",
-    "tpr_fpr",
-    "truncate_top",
-    "weight_error",
-    "write_binary_tensor",
-    "write_model",
-    "write_tensor",
-]

@@ -76,13 +76,19 @@ def _fit_cfg(args, dims):
             raise UsageError(f"--method {owner} needs {flag}")
         if method != owner and ratio is not None:
             raise UsageError(f"{flag} only applies to --method {owner}")
-    if args.symmetric_uv and method == "als":
-        raise UsageError("--symmetric-uv is only available for tp/tsp/ttp")
+    _refuse_for_als(method, symmetric_uv=args.symmetric_uv, starts=args.starts)
     given = dict(rank=args.rank, n_starts=args.starts, init=args.init,
                  max_outer_iters=args.max_outer, symmetric_uv=args.symmetric_uv, seed=args.seed)
     cfg = decomp.FitConfig(**{name: v for name, v in given.items() if v is not None})
     ratio = args.c_ratio if method == "tsp" else args.s_ratio
     return method, decomp.method_config(cfg, method, dims, ratio)
+
+
+def _refuse_for_als(method, **flags):
+    # ALS fits from one start with free factors: no pool, no symmetric mode
+    for dest, value in flags.items():
+        if method == "als" and value is not None:
+            raise UsageError(f"--{dest.replace('_', '-')} is only available for tp/tsp/ttp")
 
 
 def _config_echo(cfg, method):
@@ -101,6 +107,8 @@ def _config_echo(cfg, method):
             f"seed={cfg.seed}",
         ]
     )
+    if method == "als":  # one start, so the pool's settings do not apply
+        parts = [p for p in parts if not p.startswith(("n_starts=", "cluster_threshold="))]
     return " ".join(parts)
 
 
@@ -163,6 +171,7 @@ def _run_fit(args):
 
 
 def _run_select(args):
+    _refuse_for_als(args.method, starts=args.starts)
     x = fileio.read_binary_tensor(args.data)
     grid = selection.SelectionGrid(
         ranks=args.ranks,
@@ -300,7 +309,7 @@ def _add_fit_flags(p, require_rank):
     p.add_argument("--symmetric-uv", action="store_true", default=None,
                    help="tie the first two modes' factors (needs p1 == p2)")
     p.add_argument("--starts", type=int, default=None,
-                   help="multi-start pool size (default max(10, rank^3))")
+                   help="tp/tsp/ttp multi-start pool size (default max(10, rank^3))")
     p.add_argument("--init", choices=("spectral", "random"), help="default spectral")
     p.add_argument("--max-outer", type=int, help="default 50")
     p.add_argument("--seed", type=int, help="default 0")

@@ -152,12 +152,6 @@ def _check_settings(dims, cfg):
         raise ValueError(f"unknown penalty {cfg.penalty!r}")
     if cfg.init not in ("spectral", "random"):
         raise ValueError(f"unknown init {cfg.init!r}")
-    if not 1e-4 <= cfg.cluster_threshold <= 1.0:
-        raise ValueError("cluster_threshold must lie in [1e-4, 1]")
-    if cfg.effective_starts < cfg.rank:
-        raise ValueError(
-            f"n_starts={cfg.effective_starts} must be at least rank={cfg.rank}"
-        )
     for name in ("inner_tol", "outer_abs_tol", "outer_rel_tol", "factor_tol"):
         if getattr(cfg, name) <= 0:
             raise ValueError(f"{name} must be positive")
@@ -194,6 +188,16 @@ def _check_settings(dims, cfg):
         if cfg.c is not None or cfg.s is not None:
             raise ValueError("c/s given but penalty is 'none'")
     return c, s
+
+
+def _check_pool(cfg):
+    """Check the multi-start pool's settings, which ALS (one start) never reads."""
+    if not 1e-4 <= cfg.cluster_threshold <= 1.0:
+        raise ValueError("cluster_threshold must lie in [1e-4, 1]")
+    if cfg.effective_starts < cfg.rank:
+        raise ValueError(
+            f"n_starts={cfg.effective_starts} must be at least rank={cfg.rank}"
+        )
 
 
 def _check_config(x, cfg):
@@ -521,7 +525,7 @@ def rank_one_mm_fit(x, cfg, init, mu0=None):
     projected onto its mode's feasible set first, so a zero one raises
     DegenerateDirectionError, as does a zero contraction in a later power
     step. mu0 defaults to the mean of 2x - 1 over all cells (unobserved
-    zero-filled). The returned trace holds the negative log-likelihood at
+    ones counting 0). The returned trace holds the negative log-likelihood at
     the start and after each outer pass.
     """
     c, s = _check_config(x, cfg)
@@ -536,7 +540,7 @@ def rank_one_mm_fit(x, cfg, init, mu0=None):
     v = u if cfg.symmetric_uv else _project(v, 2, cfg.penalty, c, s)
     w = _project(w, 3, cfg.penalty, c, s)
     if mu0 is None:
-        mu0 = _base_tensor(x)[1]
+        mu0 = _sign_mean(x)
 
     def sweep(zc, factors):
         u, v, w = factors
@@ -569,13 +573,18 @@ def rank_one_mm_fit(x, cfg, init, mu0=None):
 # -------------------------------------------------------- initializations
 
 
+def _sign_mean(x):
+    """Mean of 2x - 1 over all cells, unobserved ones counting 0: exact
+    integer sums, then one division."""
+    return (2.0 * float(x.values.sum()) - x.n_observed) / x.values.size
+
+
 def _base_tensor(x):
-    """Centered sign tensor: 2x - 1 with unobserved cells zero-filled, then
-    its mean removed. Returns (Q, mean)."""
-    q = 2.0 * x.values - 1.0
-    if not x.fully_observed:
-        q[~x.mask] = 0.0
-    mu = float(q.mean())
+    """Centered sign tensor: 2x - 1 with unobserved cells 0, then its mean
+    removed. Returns (Q, mean)."""
+    q = 2.0 * x.values
+    q -= 1.0 if x.fully_observed else x.mask  # unobserved cells hold 0, and stay 0
+    mu = _sign_mean(x)
     q -= mu
     return q, mu
 
@@ -727,7 +736,8 @@ def als_fit(x, cfg):
     """Rank-R MM fit by alternating least squares on the working tensor.
 
     Starts from _init_als: HOSVD-style columns on modes 1 and 2 (or
-    Gaussian ones with init="random") and mode 3 by least squares. Each
+    Gaussian ones with init="random") and mode 3 by least squares. That is
+    its one start, so n_starts and cluster_threshold do not apply. Each
     outer pass rebuilds the working tensor and offset, then cycles
     factor-matrix least-squares solves (Gram form, pseudo-inverse with
     cutoff 1e-10) until the factors settle. Weights and signs live in the
@@ -836,6 +846,7 @@ def fit_rank_path(x, cfg, ranks):
         raise ValueError(f"rank must be >= 1, got {ranks[0]}")
     cfg_max = replace(cfg, rank=ranks[-1])
     _, s = _check_config(x, cfg_max)
+    _check_pool(cfg_max)
     start_traces, components = [], []
     for stream in (1, 2):
         pool = _run_pool(x, cfg_max, s, cfg_max.effective_starts, stream)
@@ -861,22 +872,18 @@ def _report_from_components(x, cfg, rank, comps, start_traces):
     v_mat = np.column_stack([f.v for f in comps])
     w_mat = np.column_stack([f.w for f in comps])
     mu = final_offset(x, (d, u_mat, v_mat, w_mat))
-    all_converged = all(f.converged for f in comps)
     if found < rank:
-        converged = False
         reason = f"component pool exhausted: found {found} of {rank} clusters"
-    elif not all_converged:
-        converged = False
+    elif not all(f.converged for f in comps):
         reason = "a component re-estimation hit the outer iteration limit"
     else:
-        converged = True
         reason = "ok"
     return FitReport(
         model=LogitModel(mu, d, u_mat, v_mat, w_mat),
         loss_trace=comps[0].trace,
         n_starts_used=len(start_traces),
         clusters_found=found,
-        converged=converged,
+        converged=reason == "ok",
         reason=reason,
         method=_POWER_METHODS[cfg.penalty],
         start_traces=list(start_traces),

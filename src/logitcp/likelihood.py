@@ -6,7 +6,7 @@ plus a global offset). Unobserved cells are carried in an explicit mask and
 never contribute to likelihood sums.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -59,7 +59,7 @@ class BinaryTensor:
     mask:   boolean array of the same shape, True where observed.
 
     Unobserved cells may hold anything on input; they are set to 0 (in a
-    copy, only when some cell is unobserved), and then every cell is
+    copy, only when one of them is nonzero), and then every cell is
     checked, so the check gathers no copy of the observed values.
     """
 
@@ -79,7 +79,10 @@ class BinaryTensor:
             raise ValueError("mask is empty: at least one cell must be observed")
         # unobserved cells are forced to 0 so array arithmetic can ignore them
         if not self.mask.all():
-            self.values = np.where(self.mask, self.values, 0.0)
+            stray = self.values.astype(bool)  # nonzero, then also unobserved: True > False
+            if np.greater(stray, self.mask, out=stray).any():
+                self.values = np.where(self.mask, self.values, 0.0)
+            del stray  # before the check below allocates its own
         # every cell is 0 or 1 exactly when the nonzero cells are the cells
         # equal to 1 (nan and inf count as nonzero and differ from 1)
         if np.count_nonzero(self.values) != np.count_nonzero(self.values == 1.0):
@@ -97,7 +100,7 @@ class BinaryTensor:
 
     @property
     def n_observed(self):
-        return int(self.mask.sum())
+        return int(np.count_nonzero(self.mask))
 
     @property
     def fully_observed(self):

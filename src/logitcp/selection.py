@@ -158,17 +158,14 @@ def _csv_field(text):
 
 
 def _subset(x, mask):
-    return BinaryTensor(np.where(mask, x.values, 0.0), mask)
+    return BinaryTensor(x.values, mask)
 
 
 def _fit_ranks(x, cfg, method, ranks):
     """Models per rank at one penalty setting; the power family shares a
     single multi-start pool across ranks."""
     if method == "als":
-        out = {}
-        for r in ranks:
-            out[r] = decomp.als_fit(x, replace(cfg, rank=r))
-        return out
+        return {r: decomp.als_fit(x, replace(cfg, rank=r)) for r in ranks}
     return decomp.fit_rank_path(x, cfg, ranks)
 
 

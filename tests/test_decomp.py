@@ -32,7 +32,7 @@ from logitcp.decomp import (
     truncate_top,
 )
 from logitcp.likelihood import BinaryTensor, neg_loglik, sigmoid, softplus
-from logitcp.simulate import SimConfig, gen_sparse_factors
+from logitcp.simulate import SimConfig, gen_dataset, gen_sparse_factors
 
 MONOTONE_SLACK = 1e-9
 
@@ -663,6 +663,46 @@ def test_als_fit_runs_and_descends():
         als_fit(x, FitConfig(rank=1, penalty="l1", c=c_from_ratio(x.dims, 0.9)))
     with pytest.raises(ValueError):
         als_fit(x, FitConfig(rank=1, symmetric_uv=True))
+
+
+def test_als_random_start_fits_and_descends():
+    x, _ = planted_rank_one()
+    report = als_fit(x, FitConfig(rank=2, init="random", seed=3))
+    m = report.model
+    assert m.rank == 2 and report.n_starts_used == 1
+    for f in (m.U, m.V, m.W):
+        np.testing.assert_allclose(np.linalg.norm(f, axis=0), 1.0, atol=1e-12)
+    assert list(m.d) == sorted(m.d, reverse=True)
+    assert np.diff(report.loss_trace).max() <= MONOTONE_SLACK
+    # the start is the random one, not the spectral one
+    assert report.loss_trace[0] != als_fit(x, FitConfig(rank=2, seed=3)).loss_trace[0]
+
+
+def test_als_reads_no_pool_settings():
+    # ALS fits from one start: a pool smaller than the rank, or any cluster
+    # threshold, is no error and changes nothing
+    x, _ = planted_rank_one()
+    ref = fit(x, FitConfig(rank=2, seed=3), "als")
+    for cfg in (FitConfig(rank=2, n_starts=1, seed=3),
+                FitConfig(rank=2, cluster_threshold=5.0, seed=3)):
+        report = fit(x, cfg, "als")
+        assert np.array_equal(report.loss_trace, ref.loss_trace)
+        assert np.array_equal(report.model.U, ref.model.U)
+    for cfg in (FitConfig(rank=2, n_starts=1), FitConfig(rank=1, cluster_threshold=5.0)):
+        with pytest.raises(ValueError, match="n_starts|cluster_threshold"):
+            fit(x, cfg, "tp")
+
+
+def test_exhausted_pool_reports_the_clusters_it_found():
+    # one planted component and a threshold of 1 prune each pool down to a
+    # few clusters; the top-up round of 4 fresh starts does not reach 4
+    x, _ = gen_dataset(SimConfig((30, 10, 8), 1, (5.0,), seed=2), baseline_weight=60.0)
+    report = fit(x, FitConfig(rank=4, n_starts=4, cluster_threshold=1.0, seed=2), "tp")
+    assert report.reason == "component pool exhausted: found 3 of 4 clusters"
+    assert report.clusters_found == 3 and report.model.rank == 3
+    assert report.n_starts_used == 8 and len(report.start_traces) == 8
+    assert len(report.component_traces) == 3
+    assert report.converged is False
 
 
 @pytest.mark.parametrize("mode", [1, 2, 3])

@@ -1,8 +1,9 @@
-"""Export lists: every name a module lists in __all__ must exist."""
+"""Export lists: every name a module lists in __all__ must exist, and the
+package namespace holds nothing but its submodules."""
 
 import importlib
-import inspect
 import pkgutil
+import sys
 
 import pytest
 
@@ -21,12 +22,11 @@ def test_all_names_resolve(name):
     assert [a for a in exported if not hasattr(module, a)] == []
 
 
-def test_package_functions_are_in_their_module_all():
-    # the benchmark tracer wraps each layer's __all__, so a function the
-    # package exports but its module does not would go untimed
-    missing = []
-    for name in logitcp.__all__:
-        obj = getattr(logitcp, name)
-        if inspect.isfunction(obj) and name not in importlib.import_module(obj.__module__).__all__:
-            missing.append(f"{obj.__module__}.{name}")
-    assert missing == []
+def test_package_namespace_holds_only_submodules():
+    # each module's __all__ is the one list of its public names (and what
+    # the benchmark tracer wraps); a name re-exported by the package would
+    # declare it a second time
+    public = {n for n in vars(logitcp) if not n.startswith("_")}
+    assert {"decomp", "fileio", "likelihood", "metrics", "ops", "selection", "simulate"} <= public
+    assert sorted(n for n in public if getattr(logitcp, n) is not sys.modules.get(f"logitcp.{n}")) == []
+    assert logitcp.__version__ == "0.1.0"

@@ -527,6 +527,28 @@ def test_cli_fit_flag_validation(sim_file, tmp_path, capsys):
                    "--out", out) == 2
 
 
+@pytest.mark.parametrize("command", ["fit", "complete", "select"])
+def test_cli_als_refuses_starts(masked_file, tmp_path, capsys, command):
+    # ALS fits from one start, so a pool size is a usage error, not ignored
+    out = tmp_path / "out"
+    rank = ["--ranks", "1,2"] if command == "select" else ["--rank", "2"]
+    rc = run_cli(command, "--data", masked_file, *rank, "--method", "als", "--starts", "1",
+                 "--out", out)
+    assert rc == 2
+    assert capsys.readouterr().err == "error: --starts is only available for tp/tsp/ttp\n"
+    assert not out.exists()
+
+
+def test_cli_als_model_echoes_no_pool_settings(sim_file, tmp_path):
+    out = tmp_path / "als.model"
+    assert run_cli("fit", "--data", sim_file, "--rank", "2", "--method", "als",
+                   "--seed", "0", "--out", out) in (0, 3)
+    _, meta = fileio.read_model(out)
+    assert meta["n_starts_used"] == "1"
+    assert meta["config"] == ("method=als rank=2 penalty=none init=spectral "
+                              "symmetric_uv=False max_outer_iters=50 seed=0")
+
+
 @pytest.mark.parametrize("masked", [False, True])
 @pytest.mark.parametrize("value", [0, 1])
 @pytest.mark.parametrize("method", ["als", "tp", "tsp", "ttp"])

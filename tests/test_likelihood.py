@@ -360,6 +360,11 @@ def test_binary_tensor_validation():
     assert x.values[0, 0, 1] == 0.0
     assert x.n_observed == 1
     assert not x.fully_observed
+    # in a copy: the caller's array keeps its values
+    assert vals[0, 0, 1] == 7.0
+    # a nan or an inf in an unobserved cell is zero-filled, not refused
+    for bad in (np.nan, np.inf):
+        assert BinaryTensor(np.array([[[1.0, bad]]]), mask).values[0, 0, 1] == 0.0
 
 
 def test_predict_probs_and_impute():

@@ -2,7 +2,8 @@
 
 A fit may hold the data plus one full-size float64 array (the working tensor
 of the MM pass, or the centered sign tensor of a start), plus block-sized
-scratch; a simulated draw holds its two outputs. The peaks are traced
+scratch; a simulated draw holds its two outputs. A masked tensor copies its
+values only to zero a nonzero unobserved cell. The peaks are traced
 allocations, in units of one full-size array, x.values.nbytes.
 """
 
@@ -11,7 +12,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from logitcp import decomp, simulate
+from logitcp import decomp, selection, simulate
 from logitcp.likelihood import BinaryTensor
 
 DIMS = (400, 80, 10)
@@ -53,3 +54,24 @@ def test_gen_dataset_draws_in_two_full_size_buffers():
     cfg = simulate.SimConfig(DIMS, 1, (3.0,), seed=0)
     (x, _), peak = traced_peak(lambda: simulate.gen_dataset(cfg, baseline_weight=60.0))
     assert peak / x.values.nbytes <= 2.5
+
+
+def test_zero_filled_masked_tensor_is_not_copied(data):
+    x = data["masked"]
+    values = x.values.copy()
+    y, peak = traced_peak(lambda: BinaryTensor(values, x.mask))
+    assert y.values is values
+    assert peak / values.nbytes <= 0.25  # one bool buffer, one byte per cell
+
+
+def test_cv_fold_tensor_is_zero_filled_once(data):
+    x = data["dense"]
+    fold, peak = traced_peak(lambda: selection._subset(x, data["masked"].mask))
+    assert np.array_equal(fold.values, data["masked"].values)
+    assert peak / x.values.nbytes <= 1.25
+
+
+def test_drop_uniform_zero_fills_each_split_once(data):
+    x = data["dense"]
+    _, peak = traced_peak(lambda: simulate.drop_uniform(x, 0.2, seed=0))
+    assert peak / x.values.nbytes <= 4.0

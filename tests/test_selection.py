@@ -202,6 +202,23 @@ def test_deviance_rows_carry_their_own_prefix_df(method, ratio):
     ]
 
 
+@pytest.mark.parametrize("criterion", ["aic", "cv"])
+def test_select_model_als_takes_a_pool_smaller_than_its_ranks(criterion):
+    # ALS fits each rank from one start, so n_starts=1 must not invalidate
+    # the rank-2 rows; each row scores the ALS fit at its rank
+    rng = np.random.default_rng(23)
+    theta = 15.0 * np.einsum("i,j,k->ijk", *(unit(rng.standard_normal(p)) for p in (12, 6, 5)))
+    x = bernoulli(theta, seed=24)
+    grid = SelectionGrid(ranks=(1, 2), criterion=criterion, cv_folds=2)
+    rank, ratio, table = select_model(x, FitConfig(rank=1, n_starts=1, seed=25), grid, method="als")
+    assert rank in (1, 2) and ratio is None
+    assert [(row.rank, row.valid) for row in table.rows] == [(1, True), (2, True)]
+    if criterion == "aic":
+        for row in table.rows:
+            model = fit(x, FitConfig(rank=row.rank, seed=25), "als").model
+            assert row.score == aic(x, model)
+
+
 def test_select_model_two_stage_with_ratios():
     rng = np.random.default_rng(16)
     u = np.zeros(12)

@@ -1,5 +1,6 @@
 """Synthetic data generation: sparse factors, SNR calibration, holdout."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -154,6 +155,22 @@ def test_calibrate_baseline_names_a_config_error_before_fitting(monkeypatch, ran
     monkeypatch.setattr(simulate.decomp, "fit_rank_path", boom)
     with pytest.raises(ValueError, match=f"^{cause}$"):
         calibrate_baseline((7, 6, 5), rank, reps=3)
+
+
+def test_calibrate_baseline_does_not_follow_fitconfig_defaults(monkeypatch):
+    # the baseline fixes every simulated design's true weights, so its
+    # estimator is pinned in BASELINE_FIT, not read from FitConfig's defaults
+    monkeypatch.setattr(simulate, "_baseline_cache", {})
+    want = calibrate_baseline((20, 5, 4), 1, reps=3)
+
+    @dataclasses.dataclass
+    class OtherDefaults(simulate.decomp.FitConfig):
+        outer_rel_tol: float = 1e-3
+        max_outer_iters: int = 5
+
+    monkeypatch.setattr(simulate.decomp, "FitConfig", OtherDefaults)
+    monkeypatch.setattr(simulate, "_baseline_cache", {})
+    assert calibrate_baseline((20, 5, 4), 1, reps=3) == want
 
 
 def test_gen_dataset_uses_calibrated_baseline():
