@@ -26,7 +26,7 @@ u /= np.linalg.norm(u)
 w = np.abs(rng.standard_normal(6))
 w /= np.linalg.norm(w)
 theta = -0.3 + 40.0 * np.einsum("i,j,k->ijk", u, u, w)
-x = BinaryTensor.dense((rng.random(theta.shape) < sigmoid(theta)) * 1.0)
+x = BinaryTensor.dense(rng.random(theta.shape) < sigmoid(theta))
 
 cfg = decomp.FitConfig(rank=1, symmetric_uv=True, seed=2,
                        max_outer_iters=200)

@@ -264,7 +264,7 @@ def _run_report(args):
     for r, sl in enumerate(slices):
         sl = sl / scale
         path = f"{args.out}.component{r + 1}.csv"
-        rows = "\n".join(",".join(repr(float(v)) for v in row) for row in sl)
+        rows = "\n".join(",".join(map(repr, row)) for row in sl.tolist())
         fileio.atomic_write_text(path, rows + "\n")
         lines.append(
             f"component {r + 1} slice (u x w, scaled): {os.path.basename(path)}"

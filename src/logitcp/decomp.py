@@ -373,7 +373,8 @@ def final_offset(x, theta_c=None):
                     np.subtract(1.0, p, out=r)
                     r *= p
                     h += _observed_sum(r, ob)
-                np.subtract(x.values[a:b], p, out=p)
+                np.copyto(r, x.values[a:b])  # bool data as floats: one cast, then a float subtract
+                np.subtract(r, p, out=p)
                 g += _observed_sum(p, ob)
             return float(g), float(h)
 

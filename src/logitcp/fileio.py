@@ -102,8 +102,12 @@ def _tensor_chunks(values, mask, binary):
 def write_tensor(path, values, mask=None, binary=True):
     """Write a tensor file; cells where mask is False are omitted. In binary
     mode every stored value must be an integer: a fractional one raises
-    ValueError naming it, and NaN or inf raise as int() does."""
-    values = np.asarray(values, dtype=float)
+    ValueError naming it, and NaN or inf raise as int() does. Bool values
+    are formatted a chunk at a time with no float copy; any other values
+    are read as floats."""
+    values = np.asarray(values)
+    if values.dtype != bool:
+        values = values.astype(float, copy=False)
     if values.ndim != 3:
         raise ValueError(f"tensor must be 3-way, got shape {values.shape}")
     mask = np.ones(values.shape, dtype=bool) if mask is None else np.asarray(mask)
@@ -206,8 +210,9 @@ def read_binary_tensor(path):
 
 
 def _matrix_lines(m):
-    for row in m:
-        yield " ".join(_fmt(v) for v in row)
+    # the floats tolist() gives repr as _fmt does, without a call per value
+    for row in m.tolist():
+        yield " ".join(map(repr, row))
 
 
 def write_model(path, model, meta=None):
@@ -218,7 +223,7 @@ def write_model(path, model, meta=None):
         f"dims {p1} {p2} {p3}",
         f"rank {model.rank}",
         f"mu {_fmt(model.mu)}",
-        "d " + " ".join(_fmt(v) for v in model.d),
+        "d " + " ".join(map(repr, model.d.tolist())),
     ]
     for name, mat in (("U", model.U), ("V", model.V), ("W", model.W)):
         lines.append(name)

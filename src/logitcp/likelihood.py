@@ -55,43 +55,50 @@ def softplus(t):
 class BinaryTensor:
     """Binary observations with an observation mask.
 
-    values: (p1, p2, p3) array of 0.0/1.0; unobserved cells hold 0.
+    values: (p1, p2, p3) bool array, one byte per cell; unobserved cells
+            hold False.
     mask:   boolean array of the same shape, True where observed.
 
-    Unobserved cells may hold anything on input; they are set to 0 (in a
-    copy, only when one of them is nonzero), and then every cell is
-    checked, so the check gathers no copy of the observed values.
+    Bool values are taken as they are. Any other input is read as floats,
+    whose observed cells must be exactly 0 or 1, and converted to bool once.
+    Unobserved cells may hold anything on input; they are set to False (in
+    a copy, only when one of them is True). Arithmetic on bool values
+    converts them to floats exactly: 2 * values - 1 is +-1.
     """
 
     values: np.ndarray
     mask: np.ndarray
 
     def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        if self.values.ndim != 3:
-            raise ValueError(f"values must be 3-way, got shape {self.values.shape}")
+        values = np.asarray(self.values)
+        if values.ndim != 3:
+            raise ValueError(f"values must be 3-way, got shape {values.shape}")
         self.mask = np.asarray(self.mask, dtype=bool)
-        if self.mask.shape != self.values.shape:
+        if self.mask.shape != values.shape:
             raise ValueError(
-                f"mask shape {self.mask.shape} does not match values shape {self.values.shape}"
+                f"mask shape {self.mask.shape} does not match values shape {values.shape}"
             )
         if not self.mask.any():
             raise ValueError("mask is empty: at least one cell must be observed")
-        # unobserved cells are forced to 0 so array arithmetic can ignore them
-        if not self.mask.all():
-            stray = self.values.astype(bool)  # nonzero, then also unobserved: True > False
-            if np.greater(stray, self.mask, out=stray).any():
-                self.values = np.where(self.mask, self.values, 0.0)
-            del stray  # before the check below allocates its own
-        # every cell is 0 or 1 exactly when the nonzero cells are the cells
-        # equal to 1 (nan and inf count as nonzero and differ from 1)
-        if np.count_nonzero(self.values) != np.count_nonzero(self.values == 1.0):
-            raise ValueError("observed values must be exactly 0 or 1")
+        if values.dtype != bool:
+            values = np.asarray(values, dtype=float)
+            ones = values == 1.0
+            # nonzero but not 1 (nan and inf count as nonzero), where observed
+            bad = values != 0.0
+            bad ^= ones
+            bad &= self.mask
+            if bad.any():
+                raise ValueError("observed values must be exactly 0 or 1")
+            values = ones
+        # unobserved cells are forced to False so array arithmetic can ignore them
+        if not self.mask.all() and np.greater(values, self.mask).any():
+            values = values & self.mask
+        self.values = values
 
     @classmethod
     def dense(cls, values):
         """Fully observed tensor."""
-        values = np.asarray(values, dtype=float)
+        values = np.asarray(values)
         return cls(values, np.ones(values.shape, dtype=bool))
 
     @property
@@ -249,8 +256,9 @@ def loss_and_working(x, theta, out=None):
     """
     obs = None if x.fully_observed else x.mask
     nll = resid = 0.0
-    for a, b, th, sig_buf, t in _logit_blocks(x, theta, scratch=2):
-        xb, ob = x.values[a:b], None if obs is None else obs[a:b]
+    for a, b, th, sig_buf, t, xb in _logit_blocks(x, theta, scratch=3):
+        np.copyto(xb, x.values[a:b])  # the block's data as floats, converted once
+        ob = None if obs is None else obs[a:b]
         s = sigmoid(th, out=sig_buf if out is None else out[a:b])
         np.subtract(1.0, s, out=t)
         np.maximum(s, t, out=t)

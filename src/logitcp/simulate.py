@@ -79,11 +79,16 @@ class SimConfig:
 
 @dataclass
 class GroundTruth:
-    """True model behind a synthetic dataset, plus its cell probabilities."""
+    """True model behind a synthetic dataset and the noise baseline its
+    weights are multiples of."""
 
     model: LogitModel
-    probs: np.ndarray
     baseline_weight: float = float("nan")
+
+    @property
+    def probs(self):
+        """Cell probabilities sigmoid(theta), computed on each access."""
+        return self.model.probs()
 
 
 def scenario(name, snr=None, scale=1.0, **overrides):
@@ -156,7 +161,7 @@ def calibrate_baseline(dims, rank, seed=0, reps=100):
     weights = []
     for rep in range(int(reps)):
         rng = decomp._rng(seed, 101, rep)
-        x = BinaryTensor.dense((rng.random(dims) < 0.5).astype(float))
+        x = BinaryTensor.dense(rng.random(dims) < 0.5)
         try:
             report = decomp.fit_rank_path(
                 x, replace(cfg, seed=decomp._seed_tuple(seed, 102, rep)), [cfg.rank]
@@ -194,14 +199,12 @@ def gen_dataset(cfg, baseline_weight=None):
     rng = decomp._rng(cfg.seed, 7)
     u_mat, v_mat, w_mat = gen_sparse_factors(cfg, rng)
     d = np.asarray(cfg.snr, dtype=float) * db
-    # the probabilities overwrite the logits and the data overwrite the
-    # uniform draws, so two full-size buffers serve the whole draw
+    # the probabilities overwrite the logits; only the bool draw outlives
+    # this call, as the truth computes its probabilities on access
     probs = ops.cp_reconstruct(cfg.mu, d, u_mat, v_mat, w_mat)
     sigmoid(probs, out=probs)
-    values = rng.random(cfg.dims)
-    np.less(values, probs, out=values)
-    x = BinaryTensor.dense(values)
-    truth = GroundTruth(LogitModel(cfg.mu, d, u_mat, v_mat, w_mat), probs, db)
+    x = BinaryTensor.dense(np.less(rng.random(cfg.dims), probs))
+    truth = GroundTruth(LogitModel(cfg.mu, d, u_mat, v_mat, w_mat), db)
     return x, truth
 
 
@@ -215,14 +218,17 @@ def drop_uniform(x, frac, seed=0):
     if not 0.0 < frac < 1.0:
         raise ValueError("frac must lie strictly between 0 and 1")
     rng = decomp._rng(seed, 11)
-    observed = np.flatnonzero(x.mask.ravel())
-    k = int(round(frac * observed.size))
-    if k < 1 or k >= observed.size:
-        raise ValueError(f"dropping {k} of {observed.size} observed cells")
-    dropped = rng.choice(observed, size=k, replace=False)
-    drop_mask = np.zeros(x.mask.size, dtype=bool)
-    drop_mask[dropped] = True
-    drop_mask = drop_mask.reshape(x.mask.shape)
+    n = x.n_observed
+    k = int(round(frac * n))
+    if k < 1 or k >= n:
+        raise ValueError(f"dropping {k} of {n} observed cells")
+    # the draw picks positions among the observed cells in C order, as
+    # choosing from their flat indices would, and marks them in a bool
+    # array, so no index of every observed cell is held
+    picked = np.zeros(n, dtype=bool)
+    picked[rng.choice(n, size=k, replace=False)] = True
+    drop_mask = np.zeros(x.mask.shape, dtype=bool)
+    drop_mask[x.mask] = picked
     keep_mask = x.mask & ~drop_mask
     kept = BinaryTensor(x.values, keep_mask)
     heldout = BinaryTensor(x.values, drop_mask)

@@ -142,6 +142,22 @@ def test_tensor_round_trips_are_byte_identical(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_bool_values_write_as_floats_do_and_read_back_bool(tmp_path):
+    rng = np.random.default_rng(6)
+    # more records than one formatting chunk, with an irregular mask
+    mask = rng.random((70, 50, 40)) < 0.7
+    x = BinaryTensor(rng.random(mask.shape) < 0.5, mask)
+    assert x.values.dtype == bool
+    a, b = tmp_path / "a.txt", tmp_path / "b.txt"
+    fileio.write_binary_tensor(a, x)
+    assert a.read_text() == reference_tensor_text(x.values.astype(float), mask, True)
+    fileio.write_tensor(b, x.values, mask, binary=False)
+    assert b.read_text() == reference_tensor_text(x.values.astype(float), mask, False)
+    y = fileio.read_binary_tensor(a)
+    assert y.values.dtype == bool
+    assert np.array_equal(y.values, x.values) and np.array_equal(y.mask, mask)
+
+
 def test_write_tensor_rejects_a_mask_of_another_shape(tmp_path):
     vals = np.zeros((3, 2, 2))
     for shape in ((4, 2, 2), (2, 2, 2), (3, 2)):
@@ -268,6 +284,38 @@ def test_model_write_read_write_is_byte_identical(tmp_path):
     got, meta = fileio.read_model(a)
     fileio.write_model(b, got, meta)
     assert a.read_bytes() == b.read_bytes()
+
+
+def special_model():
+    # each factor column is unit-norm: the squares of the tiny entries underflow
+    col = np.array([1.0, -0.0, 5e-324, 1e-300])
+    f = np.column_stack([col, np.roll(col, 1)])
+    return LogitModel(1e300, [1.0, 5e-324], f, f, f)
+
+
+def per_value(rows):
+    return [",".join(repr(float(v)) for v in row) for row in rows]
+
+
+def test_model_and_slice_files_write_each_value_as_its_repr(tmp_path):
+    m = special_model()
+    path = tmp_path / "m.model"
+    fileio.write_model(path, m)
+    want = [fileio.MODEL_MAGIC, "dims 4 4 4", "rank 2", f"mu {float(m.mu)!r}",
+            "d " + " ".join(repr(float(v)) for v in m.d)]
+    for name, mat in (("U", m.U), ("V", m.V), ("W", m.W)):
+        want += [name, *(line.replace(",", " ") for line in per_value(mat))]
+    text = path.read_text()
+    assert text == "\n".join(want) + "\n"
+    assert {"-0.0", "5e-324", "1e-300", "1e+300"} <= set(text.split())
+    assert run_cli("report", "--model", path, "--out", tmp_path / "rep") == 0
+    for r in range(m.rank):
+        sl = m.d[r] * np.outer(m.U[:, r], m.W[:, r])
+        rows = (tmp_path / f"rep.component{r + 1}.csv").read_text().splitlines()
+        assert rows == per_value(sl / 1.0)  # the largest slice entry is 1
+    assert {"-0.0", "5e-324", "1e-300"} <= set(
+        (tmp_path / "rep.component1.csv").read_text().replace("\n", ",").split(",")
+    )
 
 
 def test_read_model_error_paths(tmp_path):

@@ -367,6 +367,35 @@ def test_binary_tensor_validation():
         assert BinaryTensor(np.array([[[1.0, bad]]]), mask).values[0, 0, 1] == 0.0
 
 
+def test_binary_tensor_values_are_bool():
+    rng = np.random.default_rng(4)
+    draw = rng.random((5, 4, 3)) < 0.5
+    mask = rng.random((5, 4, 3)) < 0.7
+    for x in (BinaryTensor.dense(draw), BinaryTensor.dense(draw.astype(float)),
+              BinaryTensor.dense(draw.astype(int).tolist()), BinaryTensor(draw, mask),
+              BinaryTensor(draw.astype(float), mask)):
+        assert x.values.dtype == bool
+        assert np.array_equal(x.values, draw & x.mask)
+    # bool input is taken as it is; a stray True in an unobserved cell is
+    # cleared in a copy, leaving the caller's array as it was
+    assert BinaryTensor.dense(draw).values is draw
+    zero_filled = draw & mask
+    assert BinaryTensor(zero_filled, mask).values is zero_filled
+    assert np.count_nonzero(draw > mask) > 0
+    before = draw.copy()
+    assert BinaryTensor(draw, mask).values is not draw
+    assert np.array_equal(draw, before)
+
+
+def test_bool_values_convert_to_floats_exactly():
+    x = BinaryTensor.dense(np.array([[[True, False, True]]]))
+    signs = 2 * x.values - 1
+    assert signs.tolist() == [[[1, -1, 1]]]
+    np.testing.assert_array_equal(2.0 * x.values - 1.0, [[[1.0, -1.0, 1.0]]])
+    np.testing.assert_array_equal(x.values - np.array([0.25, 0.5, 0.75]), [[[0.75, -0.5, 0.25]]])
+    assert float(x.values.sum()) == 2.0
+
+
 def test_predict_probs_and_impute():
     m = LogitModel(0.5, [3.0], np.array([[0.6], [-0.8]]), np.ones((1, 1)), np.array([[1.0], [0.0]]))
     np.testing.assert_allclose(m.probs(), sigmoid(m.theta()), atol=1e-15)

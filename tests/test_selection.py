@@ -9,6 +9,7 @@ from logitcp.decomp import FitConfig, final_offset, fit
 from logitcp.likelihood import BinaryTensor, LogitModel, deviance, sigmoid
 from logitcp.selection import (
     SelectionGrid,
+    _subset,
     aic,
     bic,
     cross_validate,
@@ -89,6 +90,16 @@ def test_cv_split_partitions_and_stratifies():
         fold_share = vals[test].mean()
         assert abs(fold_share - ones_share) <= 1.0 / test.sum() + 1e-12
     assert np.array_equal(union, x.mask)
+
+
+def test_fold_tensors_hold_bool_values():
+    rng = np.random.default_rng(5)
+    x = BinaryTensor.dense(rng.random((8, 6, 5)) < 0.3)
+    for train, test in cv_split(x, 3, seed=2):
+        for mask in (train, test):
+            fold = _subset(x, mask)
+            assert fold.values.dtype == bool
+            assert np.array_equal(fold.values, x.values & mask)
 
 
 def test_cv_split_is_deterministic_and_checks_strata():

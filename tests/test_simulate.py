@@ -6,8 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from logitcp import simulate
-from logitcp.likelihood import sigmoid
+from logitcp import ops, simulate
+from logitcp.likelihood import BinaryTensor, sigmoid
 from logitcp.simulate import (
     SCENARIOS,
     SimConfig,
@@ -107,6 +107,52 @@ def test_drop_uniform_partitions_observed_cells():
     kept2, heldout2 = drop_uniform(x, 0.1, seed=4)
     assert np.array_equal(kept.mask, kept2.mask)
     assert np.array_equal(heldout.values, heldout2.values)
+
+
+def test_gen_dataset_draws_bool_data_and_computes_probs_on_access():
+    cfg = SimConfig((20, 12, 8), 2, (4.0, 2.0), seed=5)
+    x, truth = gen_dataset(cfg, baseline_weight=2.5)
+    assert x.values.dtype == bool
+    assert "probs" not in vars(truth)
+    m = truth.model
+    assert np.array_equal(truth.probs, sigmoid(ops.cp_reconstruct(m.mu, m.d, m.U, m.V, m.W)))
+    # each cell is the same uniform draw compared with the same probability
+    rng = simulate.decomp._rng(cfg.seed, 7)
+    gen_sparse_factors(cfg, rng)
+    assert np.array_equal(x.values, rng.random(cfg.dims) < truth.probs)
+
+
+def test_calibration_draws_are_bool(monkeypatch):
+    seen = []
+    fit_rank_path = simulate.decomp.fit_rank_path
+
+    def spy(x, cfg, ranks):
+        seen.append(x.values.dtype)
+        return fit_rank_path(x, cfg, ranks)
+
+    monkeypatch.setattr(simulate.decomp, "fit_rank_path", spy)
+    monkeypatch.setattr(simulate, "_baseline_cache", {})
+    calibrate_baseline((7, 6, 5), 1, reps=2)
+    assert seen == [np.dtype(bool)] * 2
+
+
+@pytest.mark.parametrize("frac", [0.01, 0.3])
+def test_drop_uniform_draws_as_choosing_among_flat_indices(frac):
+    # 0.01 and 0.3 take both of the generator's sampling paths
+    cfg = SimConfig((40, 30, 20), 1, (3.0,), seed=1)
+    x, _ = gen_dataset(cfg, baseline_weight=3.0)
+    mask = np.random.default_rng(2).random(cfg.dims) < 0.8
+    x = BinaryTensor(x.values, mask)
+    kept, heldout = drop_uniform(x, frac, seed=4)
+    assert kept.values.dtype == bool and heldout.values.dtype == bool
+    observed = np.flatnonzero(mask.ravel())
+    k = int(round(frac * observed.size))
+    want = np.zeros(mask.size, dtype=bool)
+    want[simulate.decomp._rng(4, 11).choice(observed, size=k, replace=False)] = True
+    assert np.array_equal(heldout.mask.ravel(), want)
+    assert np.array_equal(kept.mask, mask & ~heldout.mask)
+    assert np.array_equal(heldout.values, x.values & heldout.mask)
+    assert np.array_equal(kept.values, x.values & kept.mask)
 
 
 def test_drop_uniform_rejects_degenerate_fractions():
