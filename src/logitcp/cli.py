@@ -198,9 +198,13 @@ def _run_complete(args):
         given = [f"--{d.replace('_', '-')}" for d in _FIT_FLAGS if getattr(args, d) is not None]
         if given:
             raise UsageError(f"{', '.join(given)} cannot be combined with --model")
+    impute((), args.threshold)  # refuses a bad threshold before anything is fitted
     x = fileio.read_binary_tensor(args.data)
     if x.fully_observed:
         raise UsageError("data has no missing cells to complete")
+    heldout = fileio.read_binary_tensor(args.holdout) if args.holdout else None
+    if heldout is not None and heldout.dims != x.dims:
+        raise UsageError(f"holdout dims {heldout.dims} do not match data dims {x.dims}")
     code = 0
     if args.model:
         model, _ = fileio.read_model(args.model)
@@ -227,12 +231,7 @@ def _run_complete(args):
     lines = ["i,j,k,prob,label", *(f"{i},{j},{k},{p!r},{lab}" for i, j, k, p, lab in rows)]
     fileio.atomic_write_text(args.out, "\n".join(lines) + "\n")
     print(f"wrote {args.out} ({len(lines) - 1} predicted cells)")
-    if args.holdout:
-        heldout = fileio.read_binary_tensor(args.holdout)
-        if heldout.dims != x.dims:
-            raise UsageError(
-                f"holdout dims {heldout.dims} do not match data dims {x.dims}"
-            )
+    if heldout is not None:
         auc = metrics.completion_auc(heldout, probs)
         hnll = neg_loglik(heldout, model)
         print(f"held-out AUC: {auc:.6f}")

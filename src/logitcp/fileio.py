@@ -1,21 +1,22 @@
 """Plain-text file formats: tensors, fitted models, predictions.
 
-Tensor files carry one record per stored cell:
+Tensor files carry binary observations, one record per observed cell:
 
     dims p1 p2 p3
     i j k v
 
-with 1-based indices, written mode-1-fastest. For binary data an absent
-record means the cell is unobserved. Model files are sectioned text holding
-the offset, weights, factor matrices, and metadata lines; floats are written
+with 1-based indices and v 0 or 1, written mode-1-fastest; an absent record
+means the cell is unobserved. Model files are sectioned text holding the
+offset, weights, factor matrices, and metadata lines; floats are written
 with shortest round-trip precision so read(write(m)) is lossless and
 write(read(f)) is byte-identical. All writers go through a temp file and
 atomic rename.
 
-Tensor files are parsed and formatted with numpy a chunk of records at a
-time. A file that the vectorised checks do not pass is read again line by
-line, which either names its first bad line or, for tokens only Python's
-int() and float() accept, reads it.
+Tensor files are parsed by numpy a chunk of records at a time, straight
+into bool arrays, and formatted a block of cells at a time. A file that the
+vectorised checks do not pass is read again line by line, which either
+names its first bad line or, for tokens only Python's int() and float()
+accept, reads it.
 """
 
 import itertools
@@ -46,7 +47,11 @@ def atomic_write_text(path, text):
     iterable raises, the temporary file is removed and path is untouched."""
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
+    umask = os.umask(0)
+    os.umask(umask)
     try:
+        # mkstemp makes the file 0600; give it the mode open(path, "w") would
+        os.fchmod(fd, 0o666 & ~umask)
         with os.fdopen(fd, "w") as fh:
             fh.writelines((text,) if isinstance(text, str) else text)
         os.replace(tmp, path)
@@ -56,11 +61,7 @@ def atomic_write_text(path, text):
         raise
 
 
-def _fmt(v):
-    return repr(float(v))
-
-
-# records per chunk when tensor files are parsed or formatted
+# cells per formatted block and records per parsed chunk of a tensor file
 _CHUNK = 1 << 16
 _RECORD = np.dtype([("i", np.int64), ("j", np.int64), ("k", np.int64), ("v", np.float64)])
 
@@ -71,56 +72,45 @@ def _byte_rows(strings):
     return table.view(np.uint8).reshape(table.size, table.itemsize)
 
 
-def _value_rows(v, binary):
-    if not binary:
-        return _byte_rows([_fmt(x) for x in v.tolist()])
-    frac = np.isfinite(v) & (np.trunc(v) != v)
-    if frac.any():
-        raise ValueError(f"binary tensor value {float(v[frac][0])!r} is not an integer")
-    if not np.all(np.abs(v) < 2.0**63):  # also true for nan and inf
-        return _byte_rows([str(int(x)) for x in v.tolist()])  # raises as int() does
-    # the values are integral here, so astype is exact
-    labels, which = np.unique(v.astype(np.int64), return_inverse=True)
-    return _byte_rows([str(n) for n in labels.tolist()])[which]
+_BITS = _byte_rows(["0", "1"])
 
 
-def _tensor_chunks(values, mask, binary):
-    """The text of a tensor file, one chunk of records at a time."""
+def _tensor_chunks(values, mask):
+    """The text of a tensor file of bool values, one block of cells at a time:
+    whole mode-3 slices, or mode-2 columns of one slice, of at most _CHUNK
+    cells (or one column) each, in file order."""
     p1, p2, p3 = values.shape
     yield f"dims {p1} {p2} {p3}\n"
     tables = [_byte_rows([f"{n} " for n in range(1, p + 1)]) for p in values.shape]
-    # transposing makes the C-order scan run with i fastest
-    cells = np.flatnonzero(mask.T)
-    for start in range(0, cells.size, _CHUNK):
-        k, j, i = np.unravel_index(cells[start:start + _CHUNK], (p3, p2, p1))
-        newline = np.full((i.size, 1), ord("\n"), dtype=np.uint8)
-        rows = np.hstack([tables[0][i], tables[1][j], tables[2][k],
-                          _value_rows(values[i, j, k], binary), newline])
-        yield rows[rows != 0].tobytes().decode("ascii")
+    cols = max(1, _CHUNK // p1)
+    slices = max(1, cols // p2)
+    for k0 in range(0, p3, slices):
+        for j0 in range(0, p2, cols):
+            block = (slice(None), slice(j0, j0 + cols), slice(k0, k0 + slices))
+            # transposing makes the C-order scan run with i fastest
+            k, j, i = np.nonzero(mask[block].T)
+            bits = values[block].T[k, j, i].view(np.uint8)
+            newline = np.full((i.size, 1), ord("\n"), dtype=np.uint8)
+            rows = np.hstack([tables[0][i], tables[1][j + j0], tables[2][k + k0],
+                              _BITS[bits], newline])
+            yield rows[rows != 0].tobytes().decode("ascii")
 
 
-def write_tensor(path, values, mask=None, binary=True):
-    """Write a tensor file; cells where mask is False are omitted. In binary
-    mode every stored value must be an integer: a fractional one raises
-    ValueError naming it, and NaN or inf raise as int() does. Bool values
-    are formatted a chunk at a time with no float copy; any other values
-    are read as floats."""
-    values = np.asarray(values)
-    if values.dtype != bool:
-        values = values.astype(float, copy=False)
-    if values.ndim != 3:
-        raise ValueError(f"tensor must be 3-way, got shape {values.shape}")
-    mask = np.ones(values.shape, dtype=bool) if mask is None else np.asarray(mask)
-    if mask.shape != values.shape:
-        raise ValueError(f"mask shape {mask.shape} does not match tensor shape {values.shape}")
-    atomic_write_text(path, _tensor_chunks(values, mask, binary))
+def write_tensor(path, values, mask=None):
+    """Write binary observations as a tensor file; cells where mask is False
+    are omitted. values and mask are checked as BinaryTensor checks them
+    (observed values exactly 0 or 1, at least one observed cell) before any
+    file is made."""
+    x = BinaryTensor.dense(values) if mask is None else BinaryTensor(values, mask)
+    atomic_write_text(path, _tensor_chunks(x.values, x.mask))
 
 
 def _scatter_records(fh, dims, values, mask):
     """Parse the records after the header in chunks and scatter them into
-    the flat arrays. Returns False, leaving the arrays partly filled, on
-    anything the vectorised checks cannot pass: a line numpy's parser
-    rejects, a non-finite value, an index out of range or a duplicate."""
+    the flat bool arrays. Returns False, leaving the arrays partly filled,
+    on anything the vectorised checks cannot pass: a line numpy's parser
+    rejects, a value other than 0 or 1, an index out of range or a
+    duplicate."""
     n_records = 0
     try:
         while lines := list(itertools.islice(fh, _CHUNK)):
@@ -128,12 +118,13 @@ def _scatter_records(fh, dims, values, mask):
                 continue  # numpy warns on a chunk with no data
             rec = np.loadtxt(lines, dtype=_RECORD, comments=None, ndmin=1)
             idx = (rec["i"], rec["j"], rec["k"])
-            if not np.isfinite(rec["v"]).all() or not all(
+            ones = rec["v"] == 1.0
+            if not (ones | (rec["v"] == 0.0)).all() or not all(
                 ((a >= 1) & (a <= p)).all() for a, p in zip(idx, dims)
             ):
                 return False
             flat = np.ravel_multi_index(tuple(a - 1 for a in idx), dims)
-            values[flat] = rec["v"]
+            values[flat] = ones
             mask[flat] = True
             n_records += rec.size
     except ValueError:  # a parser reject, or text that does not decode
@@ -145,7 +136,7 @@ def _walk_records(path, dims):
     """Read the records line by line. This defines every record error and
     its message, naming the first bad line; it runs only on files that
     `_scatter_records` could not take."""
-    values = np.zeros(dims)
+    values = np.zeros(dims, dtype=bool)
     mask = np.zeros(dims, dtype=bool)
     with open(path) as fh:
         fh.readline()
@@ -162,6 +153,8 @@ def _walk_records(path, dims):
                 raise ValueError(f"{path}:{ln}: bad record {line!r}") from None
             if not math.isfinite(v):
                 raise ValueError(f"{path}:{ln}: non-finite value {parts[3]!r}")
+            if v not in (0.0, 1.0):
+                raise ValueError(f"{path}:{ln}: value {parts[3]!r} is not 0 or 1")
             if not (1 <= i <= dims[0] and 1 <= j <= dims[1] and 1 <= k <= dims[2]):
                 raise ValueError(f"{path}:{ln}: index ({i},{j},{k}) out of range {dims}")
             if mask[i - 1, j - 1, k - 1]:
@@ -172,7 +165,8 @@ def _walk_records(path, dims):
 
 
 def read_tensor(path):
-    """Read a tensor file; returns (values, mask). Values must be finite."""
+    """Read a tensor file; returns (values, mask), both bool. Every record's
+    value must be 0 or 1; a cell without a record is unobserved and False."""
     with open(path) as fh:
         header = fh.readline().split()
         if len(header) != 4 or header[0] != "dims":
@@ -184,7 +178,7 @@ def read_tensor(path):
         if min(dims) < 1:
             raise ValueError(f"{path}: dims must be positive, got {dims}")
         try:
-            values = np.zeros(dims)
+            values = np.zeros(dims, dtype=bool)
             mask = np.zeros(dims, dtype=bool)
         except MemoryError:
             raise ValueError(f"{path}: dims {dims} too large to hold in memory") from None
@@ -195,13 +189,13 @@ def read_tensor(path):
 
 def write_binary_tensor(path, x):
     """Write a BinaryTensor; unobserved cells are simply absent."""
-    write_tensor(path, x.values, x.mask, binary=True)
+    write_tensor(path, x.values, x.mask)
 
 
 def read_binary_tensor(path):
     """Read a tensor file as binary observations; absent records are
     unobserved cells. BinaryTensor's own checks run on it, and their errors
-    name the path."""
+    name the path; it takes the bool arrays as they are."""
     values, mask = read_tensor(path)
     try:
         return BinaryTensor(values, mask)
@@ -210,7 +204,7 @@ def read_binary_tensor(path):
 
 
 def _matrix_lines(m):
-    # the floats tolist() gives repr as _fmt does, without a call per value
+    # tolist() gives Python floats, whose repr is shortest round-trip
     for row in m.tolist():
         yield " ".join(map(repr, row))
 
@@ -222,7 +216,7 @@ def write_model(path, model, meta=None):
         MODEL_MAGIC,
         f"dims {p1} {p2} {p3}",
         f"rank {model.rank}",
-        f"mu {_fmt(model.mu)}",
+        f"mu {float(model.mu)!r}",
         "d " + " ".join(map(repr, model.d.tolist())),
     ]
     for name, mat in (("U", model.U), ("V", model.V), ("W", model.W)):

@@ -66,8 +66,11 @@ class SimConfig:
         self.snr = tuple(float(v) for v in self.snr)
         if len(self.snr) != self.rank:
             raise ValueError(f"need one snr per component, got {self.snr}")
-        if min(self.snr) <= 0 or any(np.diff(self.snr) > 0):
-            raise ValueError("snr values must be positive and nonincreasing")
+        if not all(math.isfinite(v) and v > 0 for v in self.snr) or any(np.diff(self.snr) > 0):
+            raise ValueError(f"snr values must be finite, positive and nonincreasing: {self.snr}")
+        self.mu = float(self.mu)
+        if not math.isfinite(self.mu):
+            raise ValueError(f"mu must be finite, got {self.mu}")
         if not 0.0 < self.sparsity <= 1.0:
             raise ValueError("sparsity must lie in (0, 1]")
         for p in self.dims:
@@ -194,8 +197,8 @@ def gen_dataset(cfg, baseline_weight=None):
             cfg.dims, cfg.rank, seed=0, reps=cfg.baseline_reps
         )
     db = float(baseline_weight)
-    if db <= 0:
-        raise ValueError("baseline weight must be positive")
+    if not (math.isfinite(db) and db > 0):
+        raise ValueError(f"baseline weight must be finite and positive, got {db}")
     rng = decomp._rng(cfg.seed, 7)
     u_mat, v_mat, w_mat = gen_sparse_factors(cfg, rng)
     d = np.asarray(cfg.snr, dtype=float) * db

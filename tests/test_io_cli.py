@@ -1,14 +1,17 @@
 """Text file formats and the command line interface."""
 
 import csv
+import itertools
 import math
+import os
 import re
+import stat
 import warnings
 
 import numpy as np
 import pytest
 
-from logitcp import cli, fileio, simulate
+from logitcp import cli, decomp, fileio, simulate
 from logitcp.likelihood import BinaryTensor, LogitModel
 
 
@@ -30,14 +33,15 @@ def small_model():
 
 def test_tensor_round_trip_with_mask(tmp_path):
     rng = np.random.default_rng(0)
-    vals = rng.standard_normal((4, 3, 2))
+    vals = rng.random((4, 3, 2)) < 0.5
     mask = rng.random((4, 3, 2)) < 0.7
     path = tmp_path / "t.txt"
-    fileio.write_tensor(path, vals, mask, binary=False)
+    fileio.write_tensor(path, vals, mask)
     got_vals, got_mask = fileio.read_tensor(path)
+    assert got_vals.dtype == bool and got_mask.dtype == bool
     assert np.array_equal(got_mask, mask)
     assert np.array_equal(got_vals[mask], vals[mask])
-    assert np.all(got_vals[~mask] == 0.0)
+    assert not got_vals[~mask].any()
 
 
 def test_tensor_record_order_and_binary_formatting(tmp_path):
@@ -80,16 +84,16 @@ def test_read_tensor_error_paths(tmp_path):
         fileio.read_tensor(written("dims 2 2 2\n3 1 1 1\n"))
     with pytest.raises(ValueError, match="duplicate"):
         fileio.read_tensor(written("dims 2 2 2\n1 1 1 1\n1 1 1 0\n"))
-    with pytest.raises(ValueError, match="bad.txt: observed values must be exactly 0 or 1"):
+    with pytest.raises(ValueError, match="bad.txt:2: value '0.5' is not 0 or 1"):
         fileio.read_binary_tensor(written("dims 2 2 2\n1 1 1 0.5\n"))
     with pytest.raises(ValueError, match="bad.txt: mask is empty"):
         fileio.read_binary_tensor(written("dims 2 2 2\n"))
     for token in ("nan", "inf", "-inf"):
         with pytest.raises(ValueError, match=f":3: non-finite value '{token}'"):
-            fileio.read_tensor(written(f"dims 1 1 2\n1 1 1 0.5\n1 1 2 {token}\n"))
+            fileio.read_tensor(written(f"dims 1 1 2\n1 1 1 1\n1 1 2 {token}\n"))
 
 
-def reference_tensor_text(values, mask, binary):
+def reference_tensor_text(values, mask):
     """The tensor file format written one cell at a time."""
     p1, p2, p3 = values.shape
     lines = [f"dims {p1} {p2} {p3}"]
@@ -97,46 +101,32 @@ def reference_tensor_text(values, mask, binary):
         for j in range(p2):
             for i in range(p1):
                 if mask[i, j, k]:
-                    v = values[i, j, k]
-                    sv = str(int(v)) if binary else repr(float(v))
-                    lines.append(f"{i + 1} {j + 1} {k + 1} {sv}")
+                    lines.append(f"{i + 1} {j + 1} {k + 1} {int(values[i, j, k])}")
     return "\n".join(lines) + "\n"
 
 
-@pytest.mark.parametrize("binary", [True, False])
-def test_write_tensor_matches_the_cell_loop(tmp_path, binary):
+@pytest.mark.parametrize("as_bool", [True, False])
+def test_write_tensor_matches_the_cell_loop(tmp_path, as_bool):
+    # more cells than one formatting block, with an irregular mask; the
+    # blocks are runs of whole mode-3 slices, runs of mode-2 columns, and
+    # single columns longer than a block
     rng = np.random.default_rng(5)
-    # more records than one formatting chunk, with an irregular mask
-    vals = rng.standard_normal((70, 50, 40)) * 10.0 ** rng.integers(-8, 8, (70, 50, 40))
-    if binary:
-        vals = np.round(vals * 3.0)  # integers of both signs, and -0.0
-    mask = rng.random(vals.shape) < 0.7
-    path = tmp_path / "t.txt"
-    fileio.write_tensor(path, vals, mask, binary=binary)
-    assert path.read_text() == reference_tensor_text(vals, mask, binary)
-    got_vals, got_mask = fileio.read_tensor(path)
-    assert np.array_equal(got_mask, mask)
-    want = np.trunc(vals) if binary else vals
-    assert np.array_equal(got_vals, np.where(mask, want, 0.0))
+    for shape in ((70, 50, 40), (40, 2000, 2), (70000, 2, 1)):
+        vals = rng.random(shape) < 0.5
+        mask = rng.random(shape) < 0.7
+        path = tmp_path / "t.txt"
+        fileio.write_tensor(path, vals if as_bool else np.where(vals, 1.0, -0.0), mask)
+        assert path.read_text() == reference_tensor_text(vals, mask)
+        got_vals, got_mask = fileio.read_tensor(path)
+        assert np.array_equal(got_mask, mask)
+        assert np.array_equal(got_vals, vals & mask)
 
 
 def test_tensor_round_trips_are_byte_identical(tmp_path):
-    special = [0.0, -0.0, 1.0, 1e-300, 5e-324, -5e-324, 0.1, 1e16, 1e-5, -2.5e300]
-    vals = np.array(special + [1.0 / 3.0, -7.0]).reshape((3, 2, 2), order="F")
-    a, b = tmp_path / "a.txt", tmp_path / "b.txt"
-    fileio.write_tensor(a, vals, binary=False)
-    assert a.read_text().splitlines()[1:6] == [
-        "1 1 1 0.0", "2 1 1 -0.0", "3 1 1 1.0", "1 2 1 1e-300", "2 2 1 5e-324"
-    ]
-    got, mask = fileio.read_tensor(a)
-    assert mask.all() and np.array_equal(got, vals)
-    assert np.array_equal(np.signbit(got), np.signbit(vals))
-    fileio.write_tensor(b, got, mask, binary=False)
-    assert a.read_bytes() == b.read_bytes()
-
     rng = np.random.default_rng(2)
     mask = rng.random((60, 40, 30)) < 0.8
     x = BinaryTensor(np.where(mask, rng.random(mask.shape) < 0.5, 0.0), mask)
+    a, b = tmp_path / "a.txt", tmp_path / "b.txt"
     fileio.write_binary_tensor(a, x)
     fileio.write_binary_tensor(b, fileio.read_binary_tensor(a))
     assert a.read_bytes() == b.read_bytes()
@@ -150,9 +140,9 @@ def test_bool_values_write_as_floats_do_and_read_back_bool(tmp_path):
     assert x.values.dtype == bool
     a, b = tmp_path / "a.txt", tmp_path / "b.txt"
     fileio.write_binary_tensor(a, x)
-    assert a.read_text() == reference_tensor_text(x.values.astype(float), mask, True)
-    fileio.write_tensor(b, x.values, mask, binary=False)
-    assert b.read_text() == reference_tensor_text(x.values.astype(float), mask, False)
+    assert a.read_text() == reference_tensor_text(x.values, mask)
+    fileio.write_tensor(b, x.values.astype(float), mask)
+    assert a.read_bytes() == b.read_bytes()
     y = fileio.read_binary_tensor(a)
     assert y.values.dtype == bool
     assert np.array_equal(y.values, x.values) and np.array_equal(y.mask, mask)
@@ -161,7 +151,7 @@ def test_bool_values_write_as_floats_do_and_read_back_bool(tmp_path):
 def test_write_tensor_rejects_a_mask_of_another_shape(tmp_path):
     vals = np.zeros((3, 2, 2))
     for shape in ((4, 2, 2), (2, 2, 2), (3, 2)):
-        with pytest.raises(ValueError, match=r"mask shape .* does not match tensor shape \(3, 2, 2\)"):
+        with pytest.raises(ValueError, match=r"mask shape .* does not match values shape \(3, 2, 2\)"):
             fileio.write_tensor(tmp_path / "t.txt", vals, np.ones(shape, dtype=bool))
     assert list(tmp_path.iterdir()) == []
 
@@ -171,8 +161,8 @@ def test_failed_tensor_write_leaves_the_old_file(tmp_path):
     path.write_text("old\n")
     vals = np.ones((256, 256, 2))
     vals[-1, -1, -1] = np.nan  # the last record, past the first chunk of records
-    with pytest.raises(ValueError, match="cannot convert float NaN to integer"):
-        fileio.write_tensor(path, vals, binary=True)
+    with pytest.raises(ValueError, match="^observed values must be exactly 0 or 1$"):
+        fileio.write_tensor(path, vals)
     assert path.read_text() == "old\n"
     assert [f.name for f in tmp_path.iterdir()] == ["t.txt"]
 
@@ -180,13 +170,13 @@ def test_failed_tensor_write_leaves_the_old_file(tmp_path):
 def test_binary_tensor_write_refuses_a_fraction_and_leaves_the_old_file(tmp_path):
     path = tmp_path / "t.txt"
     path.write_text("old\n")
-    vals = np.ones((256, 256, 2))
-    vals[5, 3, 1] = 0.5  # record 66310, past the first chunk of records
-    vals[-1, -1, -1] = 2.7
-    with pytest.raises(ValueError, match=r"^binary tensor value 0\.5 is not an integer$"):
-        fileio.write_tensor(path, vals, binary=True)
-    assert path.read_text() == "old\n"
-    assert [f.name for f in tmp_path.iterdir()] == ["t.txt"]
+    for value in (0.5, 2.0, -1.0, np.inf):
+        vals = np.ones((256, 256, 2))
+        vals[5, 3, 1] = value  # record 66310, past the first chunk of records
+        with pytest.raises(ValueError, match="^observed values must be exactly 0 or 1$"):
+            fileio.write_tensor(path, vals)
+        assert path.read_text() == "old\n"
+        assert [f.name for f in tmp_path.iterdir()] == ["t.txt"]
 
 
 def test_read_tensor_error_messages_name_path_and_line(tmp_path):
@@ -208,10 +198,14 @@ def test_read_tensor_error_messages_name_path_and_line(tmp_path):
     assert error(head + "1 3 1 1\n") == f"{p}:3: index (1,3,1) out of range (2, 2, 2)"
     assert error(head + "0 1 1 1\n") == f"{p}:3: index (0,1,1) out of range (2, 2, 2)"
     assert error(head + "1 1 1 0\n") == f"{p}:3: duplicate record for cell (1,1,1)"
+    for token in ("2", "0.5", "-1", "1.0000000000000002"):
+        assert error(head + f"1 1 2 {token}\n") == f"{p}:3: value '{token}' is not 0 or 1"
     # the first fault in file order wins, whatever its class
     lines = ["dims 3 3 3", "1 1 1 1", "2 1 1 0", "3 1 1 1", "2 1 1 1",
              "1 2 1 1", "2 2 1 1", "3 2 1 inf", "1 3 1 x", "4 1 1 1"]
     assert error("\n".join(lines) + "\n") == f"{p}:5: duplicate record for cell (2,1,1)"
+    lines[3] = "3 1 1 2"
+    assert error("\n".join(lines) + "\n") == f"{p}:4: value '2' is not 0 or 1"
     # blank lines and CRLF line ends count toward line numbers
     assert error("dims 2 2 2\r\n\r\n1 1 1 1\r\n   \r\n1 1 3 1\r\n") == (
         f"{p}:5: index (1,1,3) out of range (2, 2, 2)"
@@ -247,11 +241,16 @@ def test_read_tensor_header_only_and_blank_lines(tmp_path):
 
 def test_read_tensor_takes_tokens_python_accepts(tmp_path):
     p = tmp_path / "t.txt"
-    p.write_text("dims 12 2 2\n+1 1 1 1_0\n1_0 1 1 1e0\n2 +2 2 +1\n3 1 1 -0.0\n")
+    p.write_text("dims 12 2 2\n+1 1 1 0_1\n1_0 1 1 1e0\n2 +2 2 +1\n3 1 1 -0.0\n4 1 1 1.0\n")
     vals, mask = fileio.read_tensor(p)
-    assert np.array_equal(np.argwhere(mask), [[0, 0, 0], [1, 1, 1], [2, 0, 0], [9, 0, 0]])
-    assert vals[0, 0, 0] == 10.0 and vals[9, 0, 0] == 1.0 and vals[1, 1, 1] == 1.0
-    assert vals[2, 0, 0] == 0.0 and np.signbit(vals[2, 0, 0])
+    assert vals.dtype == bool
+    assert np.array_equal(np.argwhere(mask),
+                          [[0, 0, 0], [1, 1, 1], [2, 0, 0], [3, 0, 0], [9, 0, 0]])
+    assert np.array_equal(np.argwhere(vals), [[0, 0, 0], [1, 1, 1], [3, 0, 0], [9, 0, 0]])
+    # 1_0 is ten, not a binary value
+    p.write_text("dims 2 2 2\n1 1 1 1\n1 1 2 1_0\n")
+    with pytest.raises(ValueError, match=r"^" + re.escape(f"{p}:3: value '1_0' is not 0 or 1")):
+        fileio.read_tensor(p)
     p.write_text("dims 2 2 2\n1e0 1 1 1\n")
     with pytest.raises(ValueError, match=r"^" + re.escape(f"{p}:2: bad record '1e0 1 1 1\\n'")):
         fileio.read_tensor(p)
@@ -401,6 +400,22 @@ def test_atomic_write_streams_chunks_or_leaves_the_old_file(tmp_path):
     assert [f.name for f in tmp_path.iterdir()] == ["out.txt"]
 
 
+def test_atomic_write_gives_the_mode_open_would(tmp_path):
+    made, opened = tmp_path / "made.txt", tmp_path / "opened.txt"
+    for umask in (0o022, 0o077, 0o002):
+        old = os.umask(umask)
+        try:
+            made.unlink(missing_ok=True)
+            opened.unlink(missing_ok=True)
+            fileio.atomic_write_text(made, "x\n")
+            with open(opened, "w") as fh:
+                fh.write("x\n")
+        finally:
+            os.umask(old)
+        assert stat.S_IMODE(made.stat().st_mode) == stat.S_IMODE(opened.stat().st_mode)
+        assert stat.S_IMODE(made.stat().st_mode) == 0o666 & ~umask
+
+
 # -------------------------------------------------------------------- CLI
 
 
@@ -450,6 +465,23 @@ def test_cli_simulate_usage_errors(tmp_path, capsys):
     assert rc == 2  # snr must be positive
 
 
+@pytest.mark.parametrize("flag,value", [("--snr", "inf"), ("--snr", "nan"), ("--mu", "inf"),
+                                        ("--mu", "nan"), ("--baseline-weight", "inf"),
+                                        ("--baseline-weight", "nan")])
+def test_cli_simulate_refuses_non_finite_values(tmp_path, capsys, flag, value):
+    given = {"--snr": "3", "--mu": "0", "--baseline-weight": "2.0", flag: value}
+    out = tmp_path / "d"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = run_cli("simulate", "--dims", "6,5,4", "--rank", "1", "--seed", "0",
+                     *itertools.chain(*given.items()), "--out", out)
+    assert rc == 2
+    err = capsys.readouterr().err
+    name = {"--snr": "snr values", "--mu": "mu", "--baseline-weight": "baseline weight"}[flag]
+    assert err.startswith(f"error: {name} must be finite") and value in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_cli_simulate_names_a_calibration_config_error(tmp_path, capsys):
     # rank 11 is above the 10 starts the noise baseline fits from: a usage
     # error, found before any replicate is fitted
@@ -461,7 +493,7 @@ def test_cli_simulate_names_a_calibration_config_error(tmp_path, capsys):
     assert not out.exists()
 
 
-# dims of 10^6 per mode ask for 8e18 bytes: more than any address space
+# dims of 10^6 per mode ask for 1e18 bytes: more than any address space
 # maps, so the allocation fails at once on every host
 HUGE_DIMS = "dims 1000000 1000000 1000000\n1 1 1 1\n"
 
@@ -769,6 +801,38 @@ def test_cli_complete_rejects_bad_threshold(masked_file, tmp_path, capsys, thres
     assert rc == 2
     assert "threshold" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("bad", ["threshold", "holdout"])
+def test_cli_complete_checks_threshold_and_holdout_before_fitting(masked_file, tmp_path,
+                                                                  capsys, monkeypatch, bad):
+    def no_fit(*args, **kwargs):
+        raise AssertionError("complete fitted before checking its flags")
+
+    monkeypatch.setattr(decomp, "fit", no_fit)
+    hold = tmp_path / "hold.txt"
+    x = fileio.read_binary_tensor(masked_file)
+    dims = (x.dims[0] + 1, *x.dims[1:]) if bad == "holdout" else x.dims
+    fileio.write_tensor(hold, np.ones(dims, dtype=bool))
+    threshold = "1.5" if bad == "threshold" else "0.5"
+    out = tmp_path / "pred.csv"
+    rc = run_cli("complete", "--data", masked_file, "--rank", "1", "--threshold", threshold,
+                 "--holdout", hold, "--out", out)
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err == (f"error: holdout dims {dims} do not match data dims {x.dims}\n"
+                   if bad == "holdout" else
+                   "error: threshold must be a finite number in [0, 1], got 1.5\n")
+    assert not out.exists()
+
+
+def test_cli_refuses_a_record_that_is_not_binary(masked_file, tmp_path, capsys):
+    data = tmp_path / "two.txt"
+    data.write_text(masked_file.read_text() + "15 8 6 2\n")
+    line = len(data.read_text().splitlines())
+    assert run_cli("fit", "--data", data, "--rank", "1", "--out", tmp_path / "m") == 2
+    assert capsys.readouterr().err == f"error: {data}:{line}: value '2' is not 0 or 1\n"
+    assert not (tmp_path / "m").exists()
 
 
 @pytest.mark.parametrize(

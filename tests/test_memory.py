@@ -1,9 +1,11 @@
-"""Memory held by a fit and by a simulated draw, beyond their inputs.
+"""Memory held by a fit, a simulated draw and a tensor file's read and write,
+beyond their inputs.
 
 A fit may hold the data plus one full-size float64 array (the working tensor
 of the MM pass, or the centered sign tensor of a start), plus block-sized
 scratch; a simulated draw keeps only its bool data and mask. A masked tensor
-copies its values only to zero a nonzero unobserved cell. The peaks are
+copies its values only to zero a nonzero unobserved cell. A tensor file is
+read into bool arrays and written a block of cells at a time. The peaks are
 traced allocations, in units of one full-size float64 array, 8 bytes per
 cell (the data themselves take one byte per cell).
 """
@@ -13,7 +15,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from logitcp import decomp, selection, simulate
+from logitcp import decomp, fileio, selection, simulate
 from logitcp.likelihood import BinaryTensor
 
 DIMS = (400, 80, 10)
@@ -93,3 +95,39 @@ def test_drop_uniform_zero_fills_each_split_once(data):
     x = data["dense"]
     _, peak, _ = traced_peak(lambda: simulate.drop_uniform(x, 0.2, seed=0))
     assert peak / full_size(x) <= 1.5
+
+
+@pytest.fixture(scope="module")
+def written(tmp_path_factory):
+    # large enough that the 64k-record parse and format buffers are small
+    # beside one full-size array
+    dims = (1000, 100, 10)
+    x, _ = simulate.gen_dataset(simulate.SimConfig(dims, 1, (3.0,), seed=0), baseline_weight=60.0)
+    keep = np.random.default_rng(1).random(dims) >= 0.1
+    x = BinaryTensor(x.values & keep, keep)
+    path = tmp_path_factory.mktemp("tensor") / "x.txt"
+    fileio.write_binary_tensor(path, x)
+    fileio.read_binary_tensor(path)  # first-call imports settle
+    return x, path
+
+
+def test_tensor_read_builds_no_float_array(written):
+    # the records are scattered straight into bool arrays, which
+    # BinaryTensor takes as they are
+    x, path = written
+    (values, mask), peak, _ = traced_peak(lambda: fileio.read_tensor(path))
+    assert values.dtype == bool and mask.dtype == bool
+    assert BinaryTensor(values, mask).values is values
+    assert peak / full_size(x) <= 2.0
+    y, peak, _ = traced_peak(lambda: fileio.read_binary_tensor(path))
+    assert np.array_equal(y.values, x.values) and np.array_equal(y.mask, x.mask)
+    assert peak / full_size(x) <= 2.0
+
+
+def test_tensor_write_holds_no_index_of_every_cell(written, tmp_path):
+    # the mask is walked a block of slices or columns at a time, so no
+    # int64 index of every stored cell (0.9 full-size arrays here) is held
+    x, path = written
+    _, peak, _ = traced_peak(lambda: fileio.write_binary_tensor(tmp_path / "y.txt", x))
+    assert (tmp_path / "y.txt").read_bytes() == path.read_bytes()
+    assert peak / full_size(x) <= 1.0
