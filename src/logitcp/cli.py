@@ -3,7 +3,7 @@
 Subcommands: simulate, fit, select, complete, report. Exit codes: 0 on
 success, 2 on usage or validation errors, 3 on non-convergence or failed
 computation (partial output is still written where applicable). Outputs are
-deterministic for a fixed seed.
+deterministic for a fixed seed on one machine with one BLAS thread count.
 """
 
 import argparse
@@ -39,8 +39,15 @@ def _run_simulate(args):
         baseline_reps=args.baseline_reps,
     )
     if args.scenario:
-        cfg = simulate.scenario(args.scenario, snr=args.snr, scale=args.scale, **common)
+        # a scenario fixes dims and rank; --snr overrides its signal strengths
+        given = [f for f, v in (("--dims", args.dims), ("--rank", args.rank)) if v is not None]
+        if given:
+            raise UsageError(f"{', '.join(given)} cannot be combined with --scenario")
+        scale = 1.0 if args.scale is None else args.scale
+        cfg = simulate.scenario(args.scenario, snr=args.snr, scale=scale, **common)
     else:
+        if args.scale is not None:
+            raise UsageError("--scale only applies to --scenario")
         if args.dims is None or args.rank is None or args.snr is None:
             raise UsageError("simulate needs --scenario or all of --dims/--rank/--snr")
         cfg = simulate.SimConfig(dims=args.dims, rank=args.rank, snr=args.snr, **common)
@@ -323,8 +330,8 @@ def _build_parser():
 
     p = sub.add_parser("simulate", help="draw a synthetic dataset with known truth")
     p.add_argument("--scenario", choices=sorted(simulate.SCENARIOS))
-    p.add_argument("--scale", type=float, default=1.0,
-                   help="scale factor for the first mode of a --scenario design")
+    p.add_argument("--scale", type=float,
+                   help="scale factor for the first mode of a --scenario design (default 1)")
     p.add_argument("--dims", type=_ints, help="p1,p2,p3")
     p.add_argument("--rank", type=int)
     p.add_argument("--snr", type=_floats, help="per-component signal-to-noise, e.g. 5,3")

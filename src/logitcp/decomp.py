@@ -18,7 +18,7 @@ ordered by weight.
 """
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -37,6 +37,7 @@ __all__ = [
     "DegenerateDirectionError",
     "FitConfig",
     "FitReport",
+    "StopRecord",
     "RankOneFit",
     "soft_threshold",
     "truncate_top",
@@ -403,40 +404,65 @@ def final_offset(x, theta_c=None):
 # ----------------------------------------------------------- fit records
 
 
+# the reason of a run stopped by the pass cap rather than a tolerance
+MAX_PASSES_REASON = "maximum outer iterations reached"
+
+
 @dataclass
-class RankOneFit:
-    """Result of one rank-one MM run."""
+class StopRecord:
+    """How one MM run went: trace holds the negative log-likelihood at the
+    start and after each outer pass (nonincreasing), reason the stop rule."""
+
+    trace: np.ndarray
+    reason: str
+
+    @property
+    def n_outer(self):
+        return len(self.trace) - 1
+
+    @property
+    def converged(self):
+        return self.reason != MAX_PASSES_REASON
+
+
+@dataclass
+class RankOneFit(StopRecord):
+    """Result of one rank-one MM run: its stop record and the fitted component."""
 
     mu: float
     weight: float
     u: np.ndarray
     v: np.ndarray
     w: np.ndarray
-    trace: np.ndarray
-    n_outer: int
-    converged: bool
-    reason: str
 
 
 @dataclass
 class FitReport:
     """What a solver hands back: the model plus how it got there.
 
-    loss_trace is the negative log-likelihood after each outer pass of the
-    primary run (the dominant component's re-estimation for the multi-start
-    pipeline, the MM loop itself for ALS); it is nonincreasing by
-    construction.
+    start_traces and component_traces are the stop-record traces of the
+    pool's runs and of each component's re-estimation (ALS lists its one
+    run as both). loss_trace, the first component's, is the primary run's.
     """
 
     model: LogitModel
-    loss_trace: np.ndarray
-    n_starts_used: int
-    clusters_found: int
     converged: bool
     reason: str
-    method: str = ""
-    start_traces: list = field(default_factory=list)
-    component_traces: list = field(default_factory=list)
+    method: str
+    start_traces: list
+    component_traces: list
+
+    @property
+    def loss_trace(self):
+        return self.component_traces[0]
+
+    @property
+    def clusters_found(self):
+        return self.model.rank
+
+    @property
+    def n_starts_used(self):
+        return len(self.start_traces)
 
 
 # ------------------------------------------------------------- MM engine
@@ -467,14 +493,13 @@ def _mm_passes(x, cfg, mu, d, factors, sweep):
     change falls below the absolute or relative tolerance, or when a pass
     changes the factors by at most factor_tol times it.
 
-    Returns (mu, d, factors, trace, n_outer, converged, reason); trace holds
-    the negative log-likelihood at the start and after each pass.
+    Returns (mu, d, factors, StopRecord).
     """
     scale = math.sqrt(np.size(d))
     y = np.empty(x.dims)
     nll_prev, resid = loss_and_working(x, (mu, d, *map(_columns, factors)), y)
     trace = [nll_prev]
-    converged, reason = False, "maximum outer iterations reached"
+    reason = MAX_PASSES_REASON
     n_outer = 0
     while n_outer < cfg.max_outer_iters:
         n_outer += 1
@@ -494,15 +519,15 @@ def _mm_passes(x, cfg, mu, d, factors, sweep):
         trace.append(nll)
         dn = abs(nll_prev - nll)
         if dn < cfg.outer_abs_tol:
-            converged, reason = True, "loss change below absolute tolerance"
+            reason = "loss change below absolute tolerance"
         elif dn <= cfg.outer_rel_tol * max(abs(nll), 1e-12):
-            converged, reason = True, "loss change below relative tolerance"
+            reason = "loss change below relative tolerance"
         elif _factor_change(factors, old) <= scale * cfg.factor_tol:
-            converged, reason = True, "factor change below tolerance"
-        if converged:
+            reason = "factor change below tolerance"
+        if reason != MAX_PASSES_REASON:
             break
         nll_prev = nll
-    return mu, d, factors, trace, n_outer, converged, reason
+    return mu, d, factors, StopRecord(np.asarray(trace), reason)
 
 
 # ------------------------------------------------------------ rank-one MM
@@ -526,8 +551,7 @@ def rank_one_mm_fit(x, cfg, init, mu0=None):
     projected onto its mode's feasible set first, so a zero one raises
     DegenerateDirectionError, as does a zero contraction in a later power
     step. mu0 defaults to the mean of 2x - 1 over all cells (unobserved
-    ones counting 0). The returned trace holds the negative log-likelihood at
-    the start and after each outer pass.
+    ones counting 0).
     """
     c, s = _check_config(x, cfg)
     if len(init) not in (3, 4):
@@ -555,20 +579,8 @@ def rank_one_mm_fit(x, cfg, init, mu0=None):
         # w keeps the signs of vm, so d is positive
         return float(vm @ w), (u, v, w)
 
-    mu, d, (u, v, w), trace, n_outer, converged, reason = _mm_passes(
-        x, cfg, float(mu0), d, (u, v, w), sweep
-    )
-    return RankOneFit(
-        mu=mu,
-        weight=d,
-        u=u,
-        v=v,
-        w=w,
-        trace=np.asarray(trace),
-        n_outer=n_outer,
-        converged=converged,
-        reason=reason,
-    )
+    mu, d, (u, v, w), stop = _mm_passes(x, cfg, float(mu0), d, (u, v, w), sweep)
+    return RankOneFit(stop.trace, stop.reason, mu, d, u, v, w)
 
 
 # -------------------------------------------------------- initializations
@@ -772,27 +784,17 @@ def als_fit(x, cfg):
         w_mat = _normalize_cols_inplace(cm, rng)
         return d, (u_mat, v_mat, w_mat)
 
-    mu, d, (u_mat, v_mat, w_mat), trace, _, converged, reason = _mm_passes(
-        x, cfg, mu, d, (u_mat, v_mat, w_mat), sweep
-    )
-
+    mu, d, (u_mat, v_mat, w_mat), stop = _mm_passes(x, cfg, mu, d, (u_mat, v_mat, w_mat), sweep)
     order = np.argsort(-d, kind="stable")
-    d = d[order]
-    u_mat, v_mat, w_mat = u_mat[:, order], v_mat[:, order], w_mat[:, order]
-    keep = d > 0
-    if not keep.all():
-        d, u_mat, v_mat, w_mat = d[keep], u_mat[:, keep], v_mat[:, keep], w_mat[:, keep]
-        converged = False
-        reason = "degenerate zero-weight components dropped"
+    order = order[d[order] > 0]  # a zero-weight component is degenerate: drop it
+    full = order.size == r
     return FitReport(
-        model=LogitModel(mu, d, u_mat, v_mat, w_mat),
-        loss_trace=np.asarray(trace),
-        n_starts_used=1,
-        clusters_found=int(d.shape[0]),
-        converged=converged and int(d.shape[0]) == r,
-        reason=reason,
+        model=LogitModel(mu, d[order], u_mat[:, order], v_mat[:, order], w_mat[:, order]),
+        converged=stop.converged and full,
+        reason=stop.reason if full else "degenerate zero-weight components dropped",
         method="als",
-        component_traces=[np.asarray(trace)],
+        start_traces=[stop.trace],
+        component_traces=[stop.trace],
     )
 
 
@@ -881,9 +883,6 @@ def _report_from_components(x, cfg, rank, comps, start_traces):
         reason = "ok"
     return FitReport(
         model=LogitModel(mu, d, u_mat, v_mat, w_mat),
-        loss_trace=comps[0].trace,
-        n_starts_used=len(start_traces),
-        clusters_found=found,
         converged=reason == "ok",
         reason=reason,
         method=_POWER_METHODS[cfg.penalty],

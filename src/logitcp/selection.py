@@ -126,10 +126,12 @@ class ScoreTable:
 
     def best(self):
         """Lowest valid score; ties prefer the sparser ratio, then the
-        smaller rank."""
+        smaller rank. With no valid cell the error quotes the first
+        invalid row's note, which says why its fit failed."""
         valid = [r for r in self.rows if r.valid and np.isfinite(r.score)]
         if not valid:
-            raise ValueError("no valid grid cells to choose from")
+            cause = next((f" ({r.note})" for r in self.rows if not r.valid and r.note), "")
+            raise ValueError(f"no valid grid cells to choose from{cause}")
         return min(
             valid,
             key=lambda r: (

@@ -463,10 +463,10 @@ def test_rank_one_sweep_matches_three_contraction_reference(penalty, symmetric, 
         _, s = _check_config(x, cfg)
         u, v, w, d, mu0 = _init_power(_base_tensor(x), cfg, s, np.random.default_rng(8), True)
         got = rank_one_mm_fit(x, cfg, init=(u, v, w, d), mu0=mu0)
-        mu, d, (ru, rv, rw), trace, n_outer, _, _ = _reference_rank_one(x, cfg, (u, v, w, d), mu0)
-        assert got.n_outer == n_outer == passes
+        mu, d, (ru, rv, rw), stop = _reference_rank_one(x, cfg, (u, v, w, d), mu0)
+        assert got.n_outer == stop.n_outer == passes
         assert got.mu == mu and got.weight == d
-        for a, b in ((got.u, ru), (got.v, rv), (got.w, rw), (got.trace, np.asarray(trace))):
+        for a, b in ((got.u, ru), (got.v, rv), (got.w, rw), (got.trace, stop.trace)):
             assert np.array_equal(a, b)
 
 
@@ -678,6 +678,30 @@ def test_als_random_start_fits_and_descends():
     assert report.loss_trace[0] != als_fit(x, FitConfig(rank=2, seed=3)).loss_trace[0]
 
 
+def test_als_drops_zero_weight_components(monkeypatch):
+    # a run that ends with a zero weight: that component is dropped, the
+    # rest are sorted by weight, and the report counts the clusters kept
+    x, _ = planted_rank_one()
+    real, ran = decomp._mm_passes, []
+
+    def zero_middle(*args):
+        mu, d, factors, stop = real(*args)
+        ran.append((np.array([d[0], 0.0, d[2]]), factors, stop))
+        return mu, *ran[-1]
+
+    monkeypatch.setattr(decomp, "_mm_passes", zero_middle)
+    report = als_fit(x, FitConfig(rank=3, seed=3))
+    (d, (u_mat, v_mat, w_mat), stop), = ran
+    kept = [j for j in np.argsort(-d, kind="stable") if d[j] > 0]
+    assert report.reason == "degenerate zero-weight components dropped"
+    assert report.converged is False
+    assert report.clusters_found == report.model.rank == 2
+    assert report.n_starts_used == 1 and report.loss_trace is stop.trace
+    m = report.model
+    for got, want in ((m.d, d), (m.U, u_mat.T), (m.V, v_mat.T), (m.W, w_mat.T)):
+        assert np.array_equal(got.T, want[kept])
+
+
 def test_als_reads_no_pool_settings():
     # ALS fits from one start: a pool smaller than the rank, or any cluster
     # threshold, is no error and changes nothing
@@ -703,6 +727,46 @@ def test_exhausted_pool_reports_the_clusters_it_found():
     assert report.n_starts_used == 8 and len(report.start_traces) == 8
     assert len(report.component_traces) == 3
     assert report.converged is False
+
+
+# two passes stop every run at the cap; a loose loss tolerance stops them first
+STOPS = {"cap": {"max_outer_iters": 2}, "tolerance": {"outer_abs_tol": 1.0}}
+
+
+@pytest.mark.parametrize("stop", STOPS)
+@pytest.mark.parametrize("method,ratio", [("als", None), ("tp", None), ("tsp", 0.7), ("ttp", 0.5)])
+def test_reports_and_runs_derive_their_facts_from_one_record(method, ratio, stop, monkeypatch):
+    # every rank-one run, pool starts included, and the report built from
+    # them: each derived fact agrees with the trace and reason it comes from
+    x, _ = planted_rank_one()
+    runs, real = [], decomp.rank_one_mm_fit
+
+    def recorded(*args, **kwargs):
+        runs.append(real(*args, **kwargs))
+        return runs[-1]
+
+    monkeypatch.setattr(decomp, "rank_one_mm_fit", recorded)
+    base = FitConfig(rank=2, n_starts=6, seed=5, **STOPS[stop])
+    report = fit(x, method_config(base, method, x.dims, ratio), method)
+    for f in runs:
+        assert f.n_outer == len(f.trace) - 1 >= 1
+        assert f.converged == (f.reason != decomp.MAX_PASSES_REASON)
+    assert np.array_equal(report.loss_trace, report.component_traces[0])
+    assert report.clusters_found == report.model.rank
+    assert report.n_starts_used == len(report.start_traces)
+    if method == "als":
+        # one MM run, listed as the one start and the one component trace
+        assert runs == [] and report.n_starts_used == 1
+        assert report.start_traces[0] is report.component_traces[0]
+        assert report.converged == (report.reason != decomp.MAX_PASSES_REASON)
+        capped = [report.reason == decomp.MAX_PASSES_REASON]
+    else:
+        assert len(runs) == report.n_starts_used + report.clusters_found
+        traces = {id(f.trace) for f in runs}
+        assert {id(t) for t in report.start_traces + report.component_traces} <= traces
+        assert report.converged == (report.reason == "ok")
+        capped = [not f.converged for f in runs]
+    assert set(capped) == {stop == "cap"}
 
 
 @pytest.mark.parametrize("mode", [1, 2, 3])

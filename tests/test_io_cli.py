@@ -493,6 +493,36 @@ def test_cli_simulate_names_a_calibration_config_error(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [("--scenario", "I", "--scale", "0.05", "--rank", "2"),
+     ("--scenario", "I", "--dims", "3,3,3"),
+     ("--scenario", "I", "--scale", "0.05", "--rank", "2", "--dims", "3,3,3"),
+     ("--dims", "6,5,4", "--rank", "1", "--snr", "3", "--scale", "0.5")],
+    ids=["scenario-rank", "scenario-dims", "scenario-rank-dims", "scale-without-scenario"],
+)
+def test_cli_simulate_refuses_flags_it_would_ignore(tmp_path, capsys, flags):
+    out = tmp_path / "d"
+    assert run_cli("simulate", *flags, "--baseline-weight", "2.0", "--out", out) == 2
+    err = capsys.readouterr().err
+    if "--scenario" in flags:
+        given = ", ".join(f for f in ("--dims", "--rank") if f in flags)
+        assert err == f"error: {given} cannot be combined with --scenario\n"
+    else:
+        assert err == "error: --scale only applies to --scenario\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("scale,p1", [((), 1000), (("--scale", "0.05"), 50)])
+def test_cli_simulate_scenario_takes_snr_and_scale(tmp_path, scale, p1):
+    out = tmp_path / "d"
+    assert run_cli("simulate", "--scenario", "I", *scale, "--snr", "3",
+                   "--baseline-weight", "2.0", "--out", out) == 0
+    truth, meta = fileio.read_model(str(out) + ".truth")
+    assert truth.dims == (p1, 10, 10) and truth.rank == 1
+    assert meta["snr"] == repr(3.0)
+
+
 # dims of 10^6 per mode ask for 1e18 bytes: more than any address space
 # maps, so the allocation fails at once on every host
 HUGE_DIMS = "dims 1000000 1000000 1000000\n1 1 1 1\n"
@@ -550,6 +580,21 @@ def test_cli_select_csv_quotes_a_note_with_a_comma(sim_file, tmp_path):
     assert notes["0.5"] == ""
     # a note without a comma, quote or line break is written bare
     assert out.read_text().count('"') == 2
+
+
+@pytest.mark.parametrize(
+    "flags,cause",
+    [(("--ranks", "5", "--starts", "4"), "failed: n_starts=4 must be at least rank=5"),
+     (("--ranks", "1", "--method", "tsp", "--ratios", "0.01"),
+      "failed: l1 budget 0.03872983346207417 outside [1, sqrt(15)] for mode of size 15")],
+    ids=["starts-below-rank", "l1-budget-below-1"],
+)
+def test_cli_select_names_the_cause_when_every_cell_fails(sim_file, tmp_path, capsys, flags,
+                                                          cause):
+    out = tmp_path / "scores.csv"
+    assert run_cli("select", "--data", sim_file, *flags, "--out", out) == 2
+    assert capsys.readouterr().err == f"error: no valid grid cells to choose from ({cause})\n"
+    assert not out.exists()
 
 
 def test_cli_fit_converged_run_and_outputs(sim_file, tmp_path, capsys):
