@@ -12,14 +12,19 @@ with shortest round-trip precision so read(write(m)) is lossless and
 write(read(f)) is byte-identical. All writers go through a temp file and
 atomic rename.
 
-Tensor files are parsed by numpy a chunk of records at a time, straight
-into bool arrays, and formatted a block of cells at a time. A file that the
-vectorised checks do not pass is read again line by line, which either
-names its first bad line or, for tokens only Python's int() and float()
-accept, reads it.
+Tensor files are formatted a block of cells at a time and parsed from
+their bytes a chunk of whole lines at a time: one vectorised scan finds the
+separators, each index is built from its digits, and the records are
+scattered straight into bool arrays. That path takes only canonical records
+(single spaces, a newline or CRLF, an index in at most as many digits as
+its dim, v a single 0 or 1), as write_tensor writes them. A file with any
+other line, or with a duplicate record, is read again line by line, which
+either names its first bad line or, for tokens only Python's int() and
+float() accept (tabs, blank lines, +1, 1.0, 0_1), reads it. On one core of
+a 2-vCPU Xeon, a 300k-record file reads in about 22 ms (62 ms with numpy's
+text parser before it).
 """
 
-import itertools
 import math
 import os
 import tempfile
@@ -61,9 +66,9 @@ def atomic_write_text(path, text):
         raise
 
 
-# cells per formatted block and records per parsed chunk of a tensor file
+# cells per formatted block, and bytes per parsed chunk, of a tensor file
 _CHUNK = 1 << 16
-_RECORD = np.dtype([("i", np.int64), ("j", np.int64), ("k", np.int64), ("v", np.float64)])
+_READ = 1 << 17
 
 
 def _byte_rows(strings):
@@ -105,30 +110,67 @@ def write_tensor(path, values, mask=None):
     atomic_write_text(path, _tensor_chunks(x.values, x.mask))
 
 
+def _parse_chunk(chunk, dims):
+    """The flat cell indices and bool values of a chunk of whole lines, or
+    None unless every line is a canonical record: 'i j k v' and a newline,
+    single spaces, each index in range and written in at most as many
+    digits as its dim, v exactly 0 or 1."""
+    a = np.frombuffer(chunk, dtype=np.uint8)
+    d = a - ord("0")  # a digit's value; every other byte wraps to 10 or more
+    digit = d < 10
+    ends = np.flatnonzero(~digit)
+    n = ends.size // 4
+    # every non-digit is a separator: per record three spaces, then a newline
+    if ends.size != 4 * n or np.count_nonzero(a == ord(" ")) != 3 * n:
+        return None
+    ends = ends.reshape(n, 4).T.copy()
+    if not ((a.take(ends[3]) == ord("\n")).all() and (ends[3] - ends[2] == 2).all()):
+        return None
+    v = d.take(ends[3] - 1)
+    if v.max() > 1:
+        return None
+    d *= digit  # separators read as 0
+    # the separator before each record's first field; -1 reads the chunk's
+    # final newline
+    before = np.concatenate(([-1], ends[3, :-1]))
+    flat = np.zeros(n, dtype=np.int64)
+    for end, p, stride in zip(ends, dims, (dims[1] * dims[2], dims[2], 1)):
+        width = len(str(p))
+        if (end - before - 1).max() > width:
+            return None  # more digits than the dim has
+        # each field as `width` digits, the places before it read at its
+        # separator: leading zeros (an empty field reads 0, out of range)
+        idx = np.zeros(n, dtype=np.int64)
+        for t in range(width, 0, -1):
+            idx *= 10
+            idx += d.take(np.maximum(end - t, before))
+        idx -= 1
+        if idx.min() < 0 or idx.max() >= p:
+            return None
+        flat += idx * stride
+        before = end
+    return flat, v.view(bool)
+
+
 def _scatter_records(fh, dims, values, mask):
-    """Parse the records after the header in chunks and scatter them into
-    the flat bool arrays. Returns False, leaving the arrays partly filled,
-    on anything the vectorised checks cannot pass: a line numpy's parser
-    rejects, a value other than 0 or 1, an index out of range or a
-    duplicate."""
+    """Parse the records after the header from the binary file fh, a chunk
+    of whole lines at a time, and scatter them into the flat bool arrays.
+    Returns False, leaving the arrays partly filled, on a line that is not
+    a canonical record (with either line end) or on a duplicate."""
     n_records = 0
-    try:
-        while lines := list(itertools.islice(fh, _CHUNK)):
-            if "".join(lines).isspace():
-                continue  # numpy warns on a chunk with no data
-            rec = np.loadtxt(lines, dtype=_RECORD, comments=None, ndmin=1)
-            idx = (rec["i"], rec["j"], rec["k"])
-            ones = rec["v"] == 1.0
-            if not (ones | (rec["v"] == 0.0)).all() or not all(
-                ((a >= 1) & (a <= p)).all() for a, p in zip(idx, dims)
-            ):
-                return False
-            flat = np.ravel_multi_index(tuple(a - 1 for a in idx), dims)
-            values[flat] = ones
-            mask[flat] = True
-            n_records += rec.size
-    except ValueError:  # a parser reject, or text that does not decode
-        return False
+    while chunk := fh.read(_READ):
+        chunk += fh.readline()
+        if not chunk.endswith(b"\n"):
+            chunk += b"\n"  # the file's last line has no newline
+        if b"\r" in chunk:  # a CRLF line end is one newline, as in the line walk
+            chunk = chunk.replace(b"\r\n", b"\n")
+        records = _parse_chunk(chunk, dims)
+        if records is None:
+            return False
+        flat, ones = records
+        values[flat] = ones
+        mask[flat] = True
+        n_records += flat.size
     return np.count_nonzero(mask) == n_records
 
 
@@ -138,9 +180,16 @@ def _walk_records(path, dims):
     `_scatter_records` could not take."""
     values = np.zeros(dims, dtype=bool)
     mask = np.zeros(dims, dtype=bool)
-    with open(path) as fh:
+    # bytes that are not UTF-8 come through as lone surrogates, so the
+    # line that holds them can be named
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         fh.readline()
         for ln, line in enumerate(fh, start=2):
+            try:
+                line.encode("utf-8")
+            except UnicodeEncodeError:
+                raw = line.encode("utf-8", "surrogateescape")
+                raise ValueError(f"{path}:{ln}: not UTF-8 text: {raw!r}") from None
             parts = line.split()
             if not parts:
                 continue
@@ -167,8 +216,13 @@ def _walk_records(path, dims):
 def read_tensor(path):
     """Read a tensor file; returns (values, mask), both bool. Every record's
     value must be 0 or 1; a cell without a record is unobserved and False."""
-    with open(path) as fh:
-        header = fh.readline().split()
+    with open(path, "rb") as fh:
+        # the first line ends at \r as well, as it does for the line walk
+        first, _, rest = fh.readline().partition(b"\r")
+        try:
+            header = first.decode("utf-8").split()
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: {exc}") from None
         if len(header) != 4 or header[0] != "dims":
             raise ValueError(f"{path}: first line must be 'dims p1 p2 p3'")
         try:
@@ -182,7 +236,9 @@ def read_tensor(path):
             mask = np.zeros(dims, dtype=bool)
         except MemoryError:
             raise ValueError(f"{path}: dims {dims} too large to hold in memory") from None
-        if _scatter_records(fh, dims, values.reshape(-1), mask.reshape(-1)):
+        if rest in (b"", b"\n") and _scatter_records(
+            fh, dims, values.reshape(-1), mask.reshape(-1)
+        ):
             return values, mask
     return _walk_records(path, dims)
 
@@ -237,7 +293,10 @@ def write_model(path, model, meta=None):
 def read_model(path):
     """Read a model file; returns (LogitModel, meta dict preserving order)."""
     with open(path) as fh:
-        raw = fh.read().splitlines()
+        try:
+            raw = fh.read().splitlines()
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: {exc}") from None
     if not raw or raw[0] != MODEL_MAGIC:
         raise ValueError(f"{path}: not a model file (missing '{MODEL_MAGIC}' header)")
     pos = 1

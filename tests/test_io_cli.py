@@ -183,7 +183,7 @@ def test_read_tensor_error_messages_name_path_and_line(tmp_path):
     p = tmp_path / "bad.txt"
 
     def error(text):
-        p.write_bytes(text.encode())
+        p.write_bytes(text if isinstance(text, bytes) else text.encode())
         with pytest.raises(ValueError) as info:
             fileio.read_tensor(p)
         return str(info.value)
@@ -192,13 +192,18 @@ def test_read_tensor_error_messages_name_path_and_line(tmp_path):
     assert error(head + "1 1 1\n") == f"{p}:3: expected 'i j k v', got '1 1 1\\n'"
     assert error(head + "1 1 2 1 1\n") == f"{p}:3: expected 'i j k v', got '1 1 2 1 1\\n'"
     assert error(head + "1 x 2 1\n") == f"{p}:3: bad record '1 x 2 1\\n'"
+    assert error(head + "1x2 2 1\n") == f"{p}:3: expected 'i j k v', got '1x2 2 1\\n'"
+    assert error(head + "1 1 2 1 2\n1 2 1\n") == (
+        f"{p}:3: expected 'i j k v', got '1 1 2 1 2\\n'"
+    )
     assert error(head + "1 1 2 1.0.0\n") == f"{p}:3: bad record '1 1 2 1.0.0\\n'"
     assert error(head + "1 1 2 nan\n") == f"{p}:3: non-finite value 'nan'"
     assert error(head + "1 1 2 1e999\n") == f"{p}:3: non-finite value '1e999'"
     assert error(head + "1 3 1 1\n") == f"{p}:3: index (1,3,1) out of range (2, 2, 2)"
     assert error(head + "0 1 1 1\n") == f"{p}:3: index (0,1,1) out of range (2, 2, 2)"
+    assert error(head + "1 12 2 1\n") == f"{p}:3: index (1,12,2) out of range (2, 2, 2)"
     assert error(head + "1 1 1 0\n") == f"{p}:3: duplicate record for cell (1,1,1)"
-    for token in ("2", "0.5", "-1", "1.0000000000000002"):
+    for token in ("2", "10", "0.5", "-1", "1.0000000000000002"):
         assert error(head + f"1 1 2 {token}\n") == f"{p}:3: value '{token}' is not 0 or 1"
     # the first fault in file order wins, whatever its class
     lines = ["dims 3 3 3", "1 1 1 1", "2 1 1 0", "3 1 1 1", "2 1 1 1",
@@ -212,6 +217,12 @@ def test_read_tensor_error_messages_name_path_and_line(tmp_path):
     )
     assert error("dims 2 2 2\n\n\n2 2 2 1\n\t\n2 2 2 0\n") == (
         f"{p}:6: duplicate record for cell (2,2,2)"
+    )
+    # bytes that are not UTF-8 are named with their path, and in a record
+    # with its line
+    assert error(head.encode() + b"1 \xff 2 1\n") == f"{p}:3: not UTF-8 text: b'1 \\xff 2 1\\n'"
+    assert error(b"dims 2 \xff 2\n1 1 1 1\n").startswith(
+        f"{p}: 'utf-8' codec can't decode byte 0xff in position 7"
     )
 
 
@@ -259,6 +270,71 @@ def test_read_tensor_takes_tokens_python_accepts(tmp_path):
     with pytest.raises(ValueError) as info:
         fileio.read_tensor(p)
     assert str(info.value) == f"{p}:3: index ({big},1,1) out of range (2, 2, 2)"
+
+
+AGREEMENT_DIMS = [(9, 10, 99), (100, 9, 10), (1000, 2, 3), (1, 1, 1)]
+
+
+def record_lines(dims, form):
+    """Lines for up to 40 distinct random cells of dims, in random order,
+    each written by form(i, j, k, v) from its decimal tokens."""
+    rng = np.random.default_rng(sum(dims))
+    cells = rng.choice(math.prod(dims), size=min(40, math.prod(dims)), replace=False)
+    idx = np.column_stack(np.unravel_index(cells, dims)) + 1
+    return [form(*map(str, row), str(rng.integers(2)), dims) for row in idx]
+
+
+VALID_FORMS = {
+    "canonical": lambda i, j, k, v, dims: f"{i} {j} {k} {v}\n",
+    "padded to the dim's width": lambda i, j, k, v, dims: " ".join(
+        t.zfill(len(str(p))) for t, p in zip((i, j, k), dims)) + f" {v}\n",
+    "one leading zero": lambda i, j, k, v, dims: f"0{i} 0{j} 0{k} {v}\n",
+    "crlf": lambda i, j, k, v, dims: f"{i} {j} {k} {v}\r\n",
+    "tabs": lambda i, j, k, v, dims: f"{i}\t{j}\t{k}\t{v}\n",
+    "blank lines": lambda i, j, k, v, dims: f"\n{i} {j} {k} {v}\n  \n",
+    "python tokens": lambda i, j, k, v, dims: (
+        f"+{i} {j} {k} " + ("1.0", "-0.0")[v == "0"] + "\n" if int(i) % 2
+        else f"{i} {j} {k} " + ("0_1", "0.0")[v == "0"] + "\n"),
+}
+
+
+@pytest.mark.parametrize("read_size", [None, 7])
+def test_read_tensor_agrees_with_the_walker(tmp_path, monkeypatch, read_size):
+    # every valid file reads as the line walk reads it, whether the byte
+    # parse takes it or passes it on; 7-byte reads make records straddle
+    # every chunk boundary
+    if read_size:
+        monkeypatch.setattr(fileio, "_READ", read_size)
+    p = tmp_path / "t.txt"
+    for dims in AGREEMENT_DIMS:
+        for form in VALID_FORMS.values():
+            text = "dims {} {} {}\n".format(*dims) + "".join(record_lines(dims, form))
+            for body in (text, text.rstrip("\n"), text.replace("\n", "\r")):
+                p.write_text(body, newline="")
+                want = fileio._walk_records(p, dims)
+                got = fileio.read_tensor(p)
+                assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+
+def test_written_tensor_files_never_reach_the_walker(tmp_path, monkeypatch):
+    def walked(path, dims):
+        raise AssertionError(f"{path} was read line by line")
+
+    monkeypatch.setattr(fileio, "_walk_records", walked)
+    rng = np.random.default_rng(7)
+    p = tmp_path / "t.txt"
+    # the last shape's file spans several read chunks
+    for dims in AGREEMENT_DIMS + [(70000, 2, 1)]:
+        mask = rng.random(dims) < 0.7
+        mask.flat[0] = True
+        values = rng.random(dims) < 0.5
+        fileio.write_tensor(p, values, mask)
+        got_values, got_mask = fileio.read_tensor(p)
+        assert np.array_equal(got_mask, mask) and np.array_equal(got_values, values & mask)
+    text = p.read_text()
+    for body in (text.rstrip("\n"), text.replace("\n", "\r\n")):
+        p.write_text(body, newline="")
+        assert np.array_equal(fileio.read_tensor(p)[1], mask)
 
 
 # ------------------------------------------------------------ model files
@@ -342,6 +418,11 @@ def test_read_model_error_paths(tmp_path):
         fileio.read_model(written(bad_row))
     with pytest.raises(ValueError, match="unexpected trailing line"):
         fileio.read_model(written(lines + ["junk trailing line"]))
+    p = tmp_path / "bytes.txt"
+    p.write_bytes(good.read_bytes() + b"meta note \xff\n")
+    with pytest.raises(ValueError) as info:
+        fileio.read_model(p)
+    assert str(info.value).startswith(f"{p}: 'utf-8' codec can't decode byte 0xff")
     # meta that read_model could not read back is refused before writing
     for meta, message in (
         ({"two words": "v"}, "single token"),
@@ -877,6 +958,17 @@ def test_cli_refuses_a_record_that_is_not_binary(masked_file, tmp_path, capsys):
     line = len(data.read_text().splitlines())
     assert run_cli("fit", "--data", data, "--rank", "1", "--out", tmp_path / "m") == 2
     assert capsys.readouterr().err == f"error: {data}:{line}: value '2' is not 0 or 1\n"
+    assert not (tmp_path / "m").exists()
+
+
+def test_cli_names_a_data_file_that_is_not_text(masked_file, tmp_path, capsys):
+    data = tmp_path / "bytes.txt"
+    data.write_bytes(masked_file.read_bytes() + b"15 8 \xff 1\n")
+    line = len(data.read_bytes().splitlines())
+    assert run_cli("fit", "--data", data, "--rank", "1", "--out", tmp_path / "m") == 2
+    assert capsys.readouterr().err == (
+        f"error: {data}:{line}: not UTF-8 text: b'15 8 \\xff 1\\n'\n"
+    )
     assert not (tmp_path / "m").exists()
 
 

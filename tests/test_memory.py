@@ -99,8 +99,8 @@ def test_drop_uniform_zero_fills_each_split_once(data):
 
 @pytest.fixture(scope="module")
 def written(tmp_path_factory):
-    # large enough that the 64k-record parse and format buffers are small
-    # beside one full-size array
+    # large enough that the parse's chunk buffers and the 64k-cell format
+    # blocks are small beside one full-size array
     dims = (1000, 100, 10)
     x, _ = simulate.gen_dataset(simulate.SimConfig(dims, 1, (3.0,), seed=0), baseline_weight=60.0)
     keep = np.random.default_rng(1).random(dims) >= 0.1
@@ -112,16 +112,16 @@ def written(tmp_path_factory):
 
 
 def test_tensor_read_builds_no_float_array(written):
-    # the records are scattered straight into bool arrays, which
-    # BinaryTensor takes as they are
+    # the records are parsed a chunk of bytes at a time and scattered
+    # straight into bool arrays, which BinaryTensor takes as they are
     x, path = written
     (values, mask), peak, _ = traced_peak(lambda: fileio.read_tensor(path))
     assert values.dtype == bool and mask.dtype == bool
     assert BinaryTensor(values, mask).values is values
-    assert peak / full_size(x) <= 2.0
+    assert peak / full_size(x) <= 0.75
     y, peak, _ = traced_peak(lambda: fileio.read_binary_tensor(path))
     assert np.array_equal(y.values, x.values) and np.array_equal(y.mask, x.mask)
-    assert peak / full_size(x) <= 2.0
+    assert peak / full_size(x) <= 0.75
 
 
 def test_tensor_write_holds_no_index_of_every_cell(written, tmp_path):
