@@ -9,7 +9,7 @@ the cardinality-constrained solver, and the explained-deviance ladder
 breaks the chosen model down component by component.
 """
 
-import numpy as np
+from dataclasses import replace
 
 from logitcp import decomp, selection, simulate
 
@@ -30,8 +30,8 @@ fit_cfg = decomp.FitConfig(rank=1, n_starts=6, max_outer_iters=200, seed=3)
 # the offset plus the nonzero factor entries, minus the norm constraints.
 grid = selection.SelectionGrid(ranks=(1, 2, 3), criterion="aic")
 for criterion in ("aic", "bic"):
-    table = selection.ic_sweep(x, fit_cfg, grid, method="tp",
-                               criterion=criterion)
+    table = selection.ic_sweep(x, fit_cfg, replace(grid, criterion=criterion),
+                               method="tp")
     best = table.best()
     print("\n%s sweep:" % criterion)
     for row in table.rows:
@@ -40,10 +40,11 @@ for criterion in ("aic", "bic"):
                  "   <- chosen" if row is best else ""))
 
 # Cross-validation: hold out a stratified fold of cells, fit on the rest,
-# and score the summed held-out negative log-likelihood.
+# and score the summed held-out negative log-likelihood, averaged over
+# folds drawn from the fit config's seed.
 cv_grid = selection.SelectionGrid(ranks=(1, 2, 3), criterion="cv",
                                   cv_folds=3)
-table = selection.cross_validate(x, fit_cfg, cv_grid, method="tp", seed=5)
+table = selection.cross_validate(x, fit_cfg, cv_grid, method="tp")
 best = table.best()
 print("\n3-fold cv sweep:")
 for row in table.rows:

@@ -179,12 +179,12 @@ def _run_fit(args):
 
 def _run_select(args):
     _refuse_for_als(args.method, starts=args.starts)
+    if args.folds is not None and args.criterion != "cv":
+        raise UsageError("--folds only applies to --criterion cv")
     x = fileio.read_binary_tensor(args.data)
+    folds = {} if args.folds is None else {"cv_folds": args.folds}
     grid = selection.SelectionGrid(
-        ranks=args.ranks,
-        ratios=args.ratios,
-        criterion=args.criterion,
-        cv_folds=args.folds,
+        ranks=args.ranks, ratios=args.ratios, criterion=args.criterion, **folds
     )
     base = decomp.FitConfig(rank=1, n_starts=args.starts, init=args.init, seed=args.seed)
     rank, ratio, table = selection.select_model(x, base, grid, method=args.method)
@@ -357,7 +357,7 @@ def _build_parser():
     p.add_argument("--method", choices=decomp.METHODS, default="tp")
     p.add_argument("--criterion", choices=("aic", "bic", "cv", "deviance"),
                    default="bic")
-    p.add_argument("--folds", type=int, default=5)
+    p.add_argument("--folds", type=int, help="cv folds (default 5); only with --criterion cv")
     p.add_argument("--starts", type=int, default=None)
     p.add_argument("--init", choices=("spectral", "random"), default="spectral")
     p.add_argument("--seed", type=int, default=0)

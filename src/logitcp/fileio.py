@@ -240,6 +240,7 @@ def read_tensor(path):
             fh, dims, values.reshape(-1), mask.reshape(-1)
         ):
             return values, mask
+    del values, mask  # the walk fills a pair of its own
     return _walk_records(path, dims)
 
 

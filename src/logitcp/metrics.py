@@ -23,16 +23,22 @@ __all__ = [
 ]
 
 
-def _check_ranks(fit, truth):
-    if fit.rank != truth.rank:
-        raise ValueError(f"rank mismatch: fit {fit.rank} vs truth {truth.rank}")
+def _check_dims(fit, truth):
     if fit.dims != truth.dims:
         raise ValueError(f"dims mismatch: fit {fit.dims} vs truth {truth.dims}")
 
 
+def _check_ranks(fit, truth):
+    if fit.rank != truth.rank:
+        raise ValueError(f"rank mismatch: fit {fit.rank} vs truth {truth.rank}")
+    _check_dims(fit, truth)
+
+
 def rmse(fit, truth):
     """Root mean squared error between the full logit tensors,
-    ||theta_hat - theta*||_F / sqrt(p1 p2 p3)."""
+    ||theta_hat - theta*||_F / sqrt(p1 p2 p3). The ranks may differ; the
+    dims may not."""
+    _check_dims(fit, truth)
     diff = fit.theta() - truth.theta()
     return ops.frob_norm(diff) / np.sqrt(diff.size)
 

@@ -6,6 +6,11 @@ indeterminacies resolved by the unit-norm convention. AIC and BIC penalize
 the residual deviance with 2*df and log(n_observed)*df. Cross-validation
 splits the observed cells fold-wise, stratified by class so every training
 fold keeps both zeros and ones.
+
+Both sweeps run one loop: for each sparsity ratio and each split (the full
+data, or one fold's train and test masks) it fits the grid's ranks once
+and scores each model with one likelihood pass. tsp and ttp need the
+grid's ratios; tp and als refuse them.
 """
 
 import math
@@ -42,14 +47,22 @@ def model_df(model):
     return 1 + nnz - 2 * model.rank
 
 
+def _df_weight(x, criterion):
+    """The price of one degree of freedom: 2 for AIC, log(n_observed) for
+    BIC."""
+    if criterion not in ("aic", "bic"):
+        raise ValueError(f"an information criterion is aic or bic, got {criterion!r}")
+    return 2.0 if criterion == "aic" else math.log(x.n_observed)
+
+
 def aic(x, model):
     """Residual deviance plus 2 * df."""
-    return deviance(x, model) + 2.0 * model_df(model)
+    return deviance(x, model) + _df_weight(x, "aic") * model_df(model)
 
 
 def bic(x, model):
     """Residual deviance plus log(n_observed) * df."""
-    return deviance(x, model) + math.log(x.n_observed) * model_df(model)
+    return deviance(x, model) + _df_weight(x, "bic") * model_df(model)
 
 
 def cv_split(x, n_folds=5, seed=0):
@@ -159,10 +172,6 @@ def _csv_field(text):
     return text
 
 
-def _subset(x, mask):
-    return BinaryTensor(x.values, mask)
-
-
 def _fit_ranks(x, cfg, method, ranks):
     """Models per rank at one penalty setting; the power family shares a
     single multi-start pool across ranks."""
@@ -171,20 +180,43 @@ def _fit_ranks(x, cfg, method, ranks):
     return decomp.fit_rank_path(x, cfg, ranks)
 
 
-def _sweep(x, cfg, grid, method, criterion, score_ratio):
+def _grid_ratios(grid, method):
+    """The ratios a sweep of `method` visits: tsp and ttp need grid.ratios,
+    and tp and als, which have no penalty, refuse them (one None cell)."""
+    if decomp._penalty_of(method) == "none":
+        if grid.ratios is not None:
+            raise ValueError(f"method {method!r} takes no grid.ratios")
+        return (None,)
+    if grid.ratios is None:
+        raise ValueError(f"method {method!r} needs grid.ratios")
+    return grid.ratios
+
+
+def _sweep(x, cfg, grid, method, criterion, folds=None):
     """One row per (ratio, rank) grid cell, ratios outermost.
 
-    score_ratio(cell_cfg) fits every grid rank at one penalty setting and
-    returns {rank: (score, df, neg_loglik)}. A ratio whose fit raises
-    ValueError or RuntimeError gets invalid rows with the message as a note
-    rather than aborting the sweep.
+    Each split, the full data or one fold's (train, test) masks, fits every
+    grid rank at the ratio once; each model is scored once on the split's
+    scoring cells. A row holds the mean neg_loglik and df over the splits;
+    cv scores that neg_loglik, aic and bic 2 * neg_loglik + _df_weight * df.
+    A ratio whose fit raises ValueError or RuntimeError gets invalid rows
+    with the message as a note rather than aborting the sweep.
     """
-    ratios = grid.ratios if (grid.ratios and method in ("tsp", "ttp")) else (None,)
+    ratios = _grid_ratios(grid, method)
+    weight = None if folds else _df_weight(x, criterion)  # folds are scored by cv
     cfg = replace(cfg, rank=max(grid.ranks))
     table = ScoreTable(criterion=criterion)
     for ratio in ratios:
+        nll = {r: [] for r in grid.ranks}
+        dfs = {r: [] for r in grid.ranks}
         try:
-            cells = score_ratio(decomp.method_config(cfg, method, x.dims, ratio))
+            cell_cfg = decomp.method_config(cfg, method, x.dims, ratio)
+            for train, test in folds or [(x.mask, x.mask)]:
+                models = _fit_ranks(BinaryTensor(x.values, train), cell_cfg, method, grid.ranks)
+                score_on = BinaryTensor(x.values, test)
+                for r in grid.ranks:
+                    nll[r].append(neg_loglik(score_on, models[r].model))
+                    dfs[r].append(model_df(models[r].model))
         except (ValueError, RuntimeError) as exc:
             table.rows.extend(
                 ScoreRow(r, ratio, math.nan, math.nan, math.nan, valid=False,
@@ -192,52 +224,27 @@ def _sweep(x, cfg, grid, method, criterion, score_ratio):
                 for r in grid.ranks
             )
             continue
-        table.rows.extend(ScoreRow(r, ratio, *cells[r]) for r in grid.ranks)
+        for r in grid.ranks:
+            mean_nll, mean_df = float(np.mean(nll[r])), float(np.mean(dfs[r]))
+            score = mean_nll if weight is None else 2.0 * mean_nll + weight * mean_df
+            table.rows.append(ScoreRow(r, ratio, score, mean_df, mean_nll))
     return table
 
 
-def cross_validate(x, cfg, grid, method="tp", seed=None):
-    """Mean held-out negative log-likelihood per grid cell.
+def cross_validate(x, cfg, grid, method="tp"):
+    """Mean held-out negative log-likelihood per grid cell, over
+    grid.cv_folds folds drawn from cfg.seed.
 
     Cells that fail to fit are marked invalid with a note rather than
     aborting the sweep.
     """
-    seed = cfg.seed if seed is None else seed
-    folds = cv_split(x, grid.cv_folds, seed=decomp._seed_tuple(seed))
-
-    def score_ratio(cell_cfg):
-        nll = {r: [] for r in grid.ranks}
-        dfs = {r: [] for r in grid.ranks}
-        for train_mask, test_mask in folds:
-            test = _subset(x, test_mask)
-            models = _fit_ranks(_subset(x, train_mask), cell_cfg, method, grid.ranks)
-            for r in grid.ranks:
-                nll[r].append(neg_loglik(test, models[r].model))
-                dfs[r].append(model_df(models[r].model))
-        cells = {}
-        for r in grid.ranks:
-            mean_nll = float(np.mean(nll[r]))
-            cells[r] = (mean_nll, float(np.mean(dfs[r])), mean_nll)
-        return cells
-
-    return _sweep(x, cfg, grid, method, "cv", score_ratio)
+    folds = cv_split(x, grid.cv_folds, seed=decomp._seed_tuple(cfg.seed))
+    return _sweep(x, cfg, grid, method, "cv", folds)
 
 
-def ic_sweep(x, cfg, grid, method="tp", criterion="bic"):
-    """AIC or BIC per grid cell, fitted on the full data."""
-    if criterion not in ("aic", "bic"):
-        raise ValueError("ic_sweep scores aic or bic")
-    score_fn = aic if criterion == "aic" else bic
-
-    def score_ratio(cell_cfg):
-        models = _fit_ranks(x, cell_cfg, method, grid.ranks)
-        cells = {}
-        for r in grid.ranks:
-            m = models[r].model
-            cells[r] = (score_fn(x, m), model_df(m), neg_loglik(x, m))
-        return cells
-
-    return _sweep(x, cfg, grid, method, criterion, score_ratio)
+def ic_sweep(x, cfg, grid, method="tp"):
+    """grid.criterion, AIC or BIC, per grid cell, fitted on the full data."""
+    return _sweep(x, cfg, grid, method, grid.criterion)
 
 
 @dataclass
@@ -281,24 +288,21 @@ def select_model(x, cfg, grid, method="tp"):
     by the grid's criterion; stage 2 picks the rank among the rows at the
     chosen ratio. Both stages read one table: the power family builds every
     rank at a ratio from one multi-start pool (per fold), the same pool a
-    rank sweep at that ratio alone would fit. For unpenalized methods (or a
-    grid without ratios) only stage 2 applies. The returned table holds the
-    stage-1 rows of the other ratios, then the stage-2 rows. The deviance
-    criterion ranks by the explained-deviance ladder and picks the largest
-    rank whose marginal share is at least 1%.
+    rank sweep at that ratio alone would fit. tsp and ttp need grid.ratios;
+    tp and als refuse them, and only stage 2 applies. The returned table
+    holds the stage-1 rows of the other ratios, then the stage-2 rows. The
+    deviance criterion ranks by the explained-deviance ladder and picks the
+    largest rank whose marginal share is at least 1%.
 
     Returns (chosen_rank, chosen_ratio, ScoreTable).
     """
     criterion = grid.criterion
-    sweep_ratio = grid.ratios is not None and method in ("tsp", "ttp")
-    if method in ("tsp", "ttp") and not sweep_ratio:
-        raise ValueError(f"method {method!r} needs grid.ratios")
-
     if criterion == "deviance":
-        return _select_by_deviance(x, cfg, grid, method, sweep_ratio)
+        return _select_by_deviance(x, cfg, grid, method)
 
-    rows = stage2 = _score(x, cfg, grid, method, criterion).rows
-    if sweep_ratio:
+    sweep = cross_validate if criterion == "cv" else ic_sweep
+    rows = stage2 = sweep(x, cfg, grid, method).rows
+    if grid.ratios is not None:  # the sweep refused ratios for tp and als
         stage1 = [r for r in rows if r.rank == max(grid.ranks)]
         ratio = ScoreTable(criterion, stage1).best().ratio
         stage2 = [r for r in rows if r.ratio == ratio]
@@ -309,18 +313,11 @@ def select_model(x, cfg, grid, method="tp"):
     return best.rank, best.ratio, ScoreTable(criterion=criterion, rows=rows)
 
 
-def _score(x, cfg, grid, method, criterion):
-    if criterion == "cv":
-        return cross_validate(x, cfg, grid, method)
-    return ic_sweep(x, cfg, grid, method, criterion)
-
-
-def _select_by_deviance(x, cfg, grid, method, sweep_ratio):
-    if sweep_ratio and len(grid.ratios) != 1:
-        raise ValueError(
-            "the deviance criterion selects ranks; give a single ratio"
-        )
-    ratio = grid.ratios[0] if sweep_ratio else None
+def _select_by_deviance(x, cfg, grid, method):
+    ratios = _grid_ratios(grid, method)
+    if len(ratios) != 1:
+        raise ValueError("the deviance criterion selects ranks; give a single ratio")
+    (ratio,) = ratios
     r_max = max(grid.ranks)
     cell_cfg = decomp.method_config(replace(cfg, rank=r_max), method, x.dims, ratio)
     models = _fit_ranks(x, cell_cfg, method, [r_max])

@@ -214,7 +214,7 @@ def test_criterion_06_rank_selection():
         base = FitConfig(rank=1, n_starts=10, seed=600 + rep)
         t_aic = selection.ic_sweep(
             x, base, selection.SelectionGrid(ranks=ranks, criterion="aic"),
-            method="tp", criterion="aic",
+            method="tp",
         )
         aic_picks.append(t_aic.best().rank)
         t_cv = selection.cross_validate(

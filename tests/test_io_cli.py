@@ -775,6 +775,21 @@ def test_cli_fit_refuses_constant_data_and_writes_nothing(tmp_path, capsys, meth
     assert [f.name for f in tmp_path.iterdir()] == ["const.txt"]
 
 
+@pytest.mark.parametrize(
+    "flags,message",
+    [(("--folds", "3"), "--folds only applies to --criterion cv"),
+     (("--criterion", "deviance", "--folds", "3"), "--folds only applies to --criterion cv"),
+     (("--method", "tp", "--ratios", "0.5,0.9"), "method 'tp' takes no grid.ratios"),
+     (("--method", "als", "--ratios", "0.5"), "method 'als' takes no grid.ratios")],
+    ids=["folds-with-bic", "folds-with-deviance", "ratios-with-tp", "ratios-with-als"],
+)
+def test_cli_select_refuses_flags_it_would_ignore(sim_file, tmp_path, capsys, flags, message):
+    out = tmp_path / "scores.csv"
+    assert run_cli("select", "--data", sim_file, "--ranks", "1", *flags, "--out", out) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 def test_cli_select_writes_score_table(sim_file, tmp_path, capsys):
     out = tmp_path / "scores.csv"
     rc = run_cli("select", "--data", sim_file, "--ranks", "1,2",

@@ -15,7 +15,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from logitcp import decomp, fileio, selection, simulate
+from logitcp import decomp, fileio, simulate
 from logitcp.likelihood import BinaryTensor
 
 DIMS = (400, 80, 10)
@@ -84,7 +84,7 @@ def test_zero_filled_masked_tensor_is_not_copied(data):
 
 def test_cv_fold_tensor_is_zero_filled_once(data):
     x = data["dense"]
-    fold, peak, _ = traced_peak(lambda: selection._subset(x, data["masked"].mask))
+    fold, peak, _ = traced_peak(lambda: BinaryTensor(x.values, data["masked"].mask))
     assert np.array_equal(fold.values, data["masked"].values)
     assert peak / full_size(x) <= 1.25
 
@@ -131,3 +131,21 @@ def test_tensor_write_holds_no_index_of_every_cell(written, tmp_path):
     _, peak, _ = traced_peak(lambda: fileio.write_binary_tensor(tmp_path / "y.txt", x))
     assert (tmp_path / "y.txt").read_bytes() == path.read_bytes()
     assert peak / full_size(x) <= 1.0
+
+
+def test_tensor_read_falls_back_with_one_pair_of_arrays(tmp_path, monkeypatch):
+    # a tab in the first record sends the file to the line walk, which
+    # fills its own bool pair; the byte path's pair is dropped before it
+    dims = (200, 40, 10)
+    x, _ = simulate.gen_dataset(simulate.SimConfig(dims, 1, (3.0,), seed=0), baseline_weight=60.0)
+    keep = np.random.default_rng(1).random(dims) >= 0.1
+    x = BinaryTensor(x.values & keep, keep)
+    path = tmp_path / "x.txt"
+    fileio.write_binary_tensor(path, x)
+    header, first, rest = path.read_text().split("\n", 2)
+    path.write_text(f"{header}\n{first.replace(' ', chr(9), 1)}\n{rest}")
+    monkeypatch.setattr(fileio, "_READ", 4096)  # the byte path gives up after a small chunk
+    fileio.read_tensor(path)  # first-call imports settle
+    (values, mask), peak, _ = traced_peak(lambda: fileio.read_tensor(path))
+    assert np.array_equal(values, x.values) and np.array_equal(mask, x.mask)
+    assert peak / full_size(x) <= 0.35

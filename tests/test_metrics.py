@@ -33,6 +33,19 @@ def test_rmse_of_pure_offset_shift():
     assert rmse(truth, truth) == 0.0
 
 
+def test_rmse_refuses_other_dims_and_takes_other_ranks():
+    truth = rank_one(0.0, 2.0, [1.0, 2.0, 2.0], [3.0, 4.0], [1.0, 0.0])
+    wide = rank_one(0.0, 2.0, [1.0, 2.0, 2.0], [3.0, 4.0, 1.0], [1.0, 0.0])
+    flat = LogitModel(0.0, [2.0], truth.U, np.ones((1, 1)), truth.W)  # broadcasts over mode 2
+    for other in (wide, flat):
+        with pytest.raises(ValueError) as err:
+            rmse(other, truth)
+        assert str(err.value) == f"dims mismatch: fit {other.dims} vs truth (3, 2, 2)"
+    # logit tensors of different ranks are still comparable
+    empty = LogitModel(0.0, [], np.zeros((3, 0)), np.zeros((2, 0)), np.zeros((2, 0)))
+    assert rmse(empty, truth) == pytest.approx(np.sqrt(np.mean(truth.theta() ** 2)), abs=1e-12)
+
+
 def test_mean_error_orthogonal_and_sign_flip():
     truth = rank_one(0.0, 2.0, [1, 0, 0, 0], [0, 1, 0], [1, 1])
     ortho = rank_one(0.0, 2.0, [0, 1, 0, 0], [1, 0, 0], [1, 1])

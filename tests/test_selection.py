@@ -1,15 +1,16 @@
 """Model scoring and selection: df, AIC/BIC, CV folds, deviance ladder."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from logitcp.decomp import FitConfig, final_offset, fit
+from logitcp import selection
+from logitcp.decomp import FitConfig, final_offset, fit, fit_rank_path, method_config
 from logitcp.likelihood import BinaryTensor, LogitModel, deviance, sigmoid
 from logitcp.selection import (
     SelectionGrid,
-    _subset,
     aic,
     bic,
     cross_validate,
@@ -97,7 +98,7 @@ def test_fold_tensors_hold_bool_values():
     x = BinaryTensor.dense(rng.random((8, 6, 5)) < 0.3)
     for train, test in cv_split(x, 3, seed=2):
         for mask in (train, test):
-            fold = _subset(x, mask)
+            fold = BinaryTensor(x.values, mask)
             assert fold.values.dtype == bool
             assert np.array_equal(fold.values, x.values & mask)
 
@@ -148,13 +149,60 @@ def test_ic_sweep_scores_match_direct_recomputation():
     x = bernoulli(theta, seed=8)
     cfg = FitConfig(rank=2, n_starts=4, seed=9)
     grid = SelectionGrid(ranks=(1, 2), criterion="aic")
-    table = ic_sweep(x, cfg, grid, method="tp", criterion="aic")
+    table = ic_sweep(x, cfg, grid, method="tp")
     assert [r.rank for r in table.rows] == [1, 2]
     for row in table.rows:
         assert row.valid
         assert row.score == pytest.approx(2 * row.neg_loglik + 2 * row.df, abs=1e-8)
     with pytest.raises(ValueError):
-        ic_sweep(x, cfg, grid, criterion="cv")
+        ic_sweep(x, cfg, SelectionGrid(ranks=(1, 2), criterion="cv"))
+
+
+@pytest.mark.parametrize("method, ratios", [("tp", None), ("ttp", (0.6, 1.0))])
+def test_bic_rows_equal_bic_of_the_swept_models(method, ratios):
+    # each row scores its model once; the score is bic() of that model
+    # bit for bit
+    x = sparse_signal(26)
+    cfg = FitConfig(rank=1, n_starts=4, seed=27)
+    grid = SelectionGrid(ranks=(1, 2), ratios=ratios, criterion="bic")
+    table = ic_sweep(x, cfg, grid, method=method)
+    assert table.criterion == "bic"
+    rows = iter(table.rows)
+    for ratio in ratios or (None,):
+        cell_cfg = method_config(replace(cfg, rank=2), method, x.dims, ratio)
+        models = fit_rank_path(x, cell_cfg, grid.ranks)
+        for r in grid.ranks:
+            row = next(rows)
+            assert (row.rank, row.ratio, row.valid) == (r, ratio, True)
+            assert row.score == bic(x, models[r].model)
+            assert row.df == model_df(models[r].model)
+
+
+@pytest.mark.parametrize("criterion", ["aic", "cv", "deviance"])
+@pytest.mark.parametrize(
+    "method, ratios, message",
+    [("tp", (0.5,), "method 'tp' takes no grid.ratios"),
+     ("als", (0.5,), "method 'als' takes no grid.ratios"),
+     ("tsp", None, "method 'tsp' needs grid.ratios"),
+     ("ttp", None, "method 'ttp' needs grid.ratios"),
+     ("nmf", None, "unknown method 'nmf'")],
+)
+def test_ratio_rule_is_checked_before_any_fit(monkeypatch, criterion, method, ratios, message):
+    def refuse(*args):
+        raise AssertionError("fitted before the ratio rule ran")
+
+    monkeypatch.setattr(selection, "_fit_ranks", refuse)
+    x = sparse_signal(28)
+    cfg = FitConfig(rank=1, n_starts=2, seed=29)
+    grid = SelectionGrid(ranks=(1,), ratios=ratios, criterion=criterion, cv_folds=2)
+    with pytest.raises(ValueError, match=message):
+        select_model(x, cfg, grid, method=method)
+    if criterion == "cv":
+        with pytest.raises(ValueError, match=message):
+            cross_validate(x, cfg, grid, method=method)
+    if criterion == "aic":
+        with pytest.raises(ValueError, match=message):
+            ic_sweep(x, cfg, grid, method=method)
 
 
 def test_cross_validate_single_cell_matches_manual_fold_loop():
@@ -273,7 +321,7 @@ def test_select_model_rows_equal_full_grid_cells(criterion):
     if criterion == "cv":
         full = cross_validate(x, cfg, grid, method="ttp")
     else:
-        full = ic_sweep(x, cfg, grid, method="ttp", criterion=criterion)
+        full = ic_sweep(x, cfg, grid, method="ttp")
     cells = {(r.rank, r.ratio): r for r in full.rows}
     # the other ratios at the largest rank in grid order, then every rank
     # at the chosen ratio
@@ -292,7 +340,7 @@ def test_sweeps_mark_a_ratio_with_empty_support_invalid():
     cfg = FitConfig(rank=1, n_starts=3, seed=22)
     grid = SelectionGrid(ranks=(1, 2), ratios=(0.01, 0.6), criterion="aic", cv_folds=3)
     for table in (
-        ic_sweep(x, cfg, grid, method="ttp", criterion="aic"),
+        ic_sweep(x, cfg, grid, method="ttp"),
         cross_validate(x, cfg, grid, method="ttp"),
     ):
         assert [(r.rank, r.ratio) for r in table.rows] == [(1, 0.01), (2, 0.01), (1, 0.6), (2, 0.6)]
