@@ -134,6 +134,7 @@ def _model_meta(report, cfg, method):
 
 def _fit_report_text(x, report, cfg, method):
     m = report.model
+    nll, df = neg_loglik(x, m), selection.model_df(m)  # AIC and BIC score no model again
     lines = [
         "logistic CP fit",
         f"dims: {m.dims[0]} x {m.dims[1]} x {m.dims[2]} "
@@ -143,10 +144,10 @@ def _fit_report_text(x, report, cfg, method):
         f"converged: {'yes' if report.converged else 'NO'} ({report.reason})",
         f"starts used: {report.n_starts_used}",
         f"offset mu: {m.mu:.6f}",
-        f"neg log-likelihood: {neg_loglik(x, m):.6f}",
-        f"df: {selection.model_df(m)}",
-        f"AIC: {selection.aic(x, m):.6f}",
-        f"BIC: {selection.bic(x, m):.6f}",
+        f"neg log-likelihood: {nll:.6f}",
+        f"df: {df}",
+        f"AIC: {2.0 * nll + selection._df_weight(x, 'aic') * df:.6f}",
+        f"BIC: {2.0 * nll + selection._df_weight(x, 'bic') * df:.6f}",
         "",
         "component  weight      single-dev    cum-explained  marg-explained",
     ]

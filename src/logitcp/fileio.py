@@ -156,7 +156,8 @@ def _scatter_records(fh, dims, values, mask):
     """Parse the records after the header from the binary file fh, a chunk
     of whole lines at a time, and scatter them into the flat bool arrays.
     Returns False, leaving the arrays partly filled, on a line that is not
-    a canonical record (with either line end) or on a duplicate."""
+    a canonical record (with either line end, and tabs or spaces between
+    fields) or on a duplicate."""
     n_records = 0
     while chunk := fh.read(_READ):
         chunk += fh.readline()
@@ -164,6 +165,8 @@ def _scatter_records(fh, dims, values, mask):
             chunk += b"\n"  # the file's last line has no newline
         if b"\r" in chunk:  # a CRLF line end is one newline, as in the line walk
             chunk = chunk.replace(b"\r\n", b"\n")
+        if b"\t" in chunk:  # a tab separates fields as a space does in the line walk
+            chunk = chunk.replace(b"\t", b" ")
         records = _parse_chunk(chunk, dims)
         if records is None:
             return False

@@ -194,17 +194,23 @@ BLOCK_CELLS = 2**15
 
 
 def _logit_blocks(x, theta, offset=0.0, scratch=0):
-    """The logits theta + offset of x's cells, one block of mode-1 rows of
-    about BLOCK_CELLS cells at a time, so no full-size array is built.
+    """The negated logits -(theta + offset) of x's cells, one block of
+    mode-1 rows of about BLOCK_CELLS cells at a time, so no full-size array
+    is built.
 
     theta is a logit tensor of x's shape or the CP pieces (mu, d, U, V, W)
-    of one. Yields (a, b, t, *spare) for rows a:b: t holds the block's
-    logits and `scratch` spare buffers its shape; all are reused from block
-    to block and free for the caller to overwrite. CP logits are formed by
-    one matmul whose extra column carries the offset,
-    [U[a:b] diag(d), (mu + offset) 1] [khatri_rao(V, W), 1]^T: its inner
+    of one. Yields (a, b, n, *spare) for rows a:b: n holds the block's
+    negated logits and `scratch` spare buffers its shape; all are reused
+    from block to block and free for the caller to overwrite. The logits
+    come negated because exp(-theta) is what the callers take. CP logits
+    are formed by one matmul whose left factor is negated and whose extra
+    column carries the offset,
+    [-U[a:b] diag(d), -(mu + offset) 1] [khatri_rao(V, W), 1]^T: its inner
     size is R + 1 >= 2, so rank-one logits avoid BLAS's slow inner-size-1
-    path and no separate pass adds the offset.
+    path and no separate pass adds the offset or negates. IEEE rounding is
+    symmetric in sign, so the product is exactly the negation of the one
+    without the minus. A logit tensor takes one subtraction,
+    (-offset) - theta, which rounds as -(theta + offset) does.
     """
     cp = isinstance(theta, tuple)
     if cp:
@@ -212,9 +218,9 @@ def _logit_blocks(x, theta, offset=0.0, scratch=0):
         U = np.asarray(U, dtype=float)
         r = U.shape[1]
         shape = (U.shape[0], len(V), len(W))
-        ud = np.empty((shape[0], r + 1))  # [U diag(d), (mu + offset) 1]
-        np.multiply(U, np.asarray(d, dtype=float).reshape(-1), out=ud[:, :r])
-        ud[:, r] = mu + offset
+        nud = np.empty((shape[0], r + 1))  # [-U diag(d), -(mu + offset) 1]
+        np.multiply(U, -np.asarray(d, dtype=float).reshape(-1), out=nud[:, :r])
+        nud[:, r] = -(mu + offset)
         krt = np.ones((r + 1, shape[1] * shape[2]))  # [khatri_rao(V, W), 1]^T
         krt[:r] = ops.khatri_rao(V, W).T
     else:
@@ -229,9 +235,9 @@ def _logit_blocks(x, theta, offset=0.0, scratch=0):
         b = min(a + rows, p1)
         blk = buf[:, : b - a]
         if cp:
-            np.matmul(ud[a:b], krt, out=blk[0].reshape(b - a, -1))
+            np.matmul(nud[a:b], krt, out=blk[0].reshape(b - a, -1))
         else:
-            np.add(theta[a:b], offset, out=blk[0])
+            np.subtract(-offset, theta[a:b], out=blk[0])
         yield (a, b, *blk)
 
 
@@ -244,34 +250,41 @@ def loss_and_working(x, theta, out=None):
     observed cells get z = theta + 4*(x - sigmoid(theta)), unobserved cells
     keep theta, which makes the surrogate ignore them.
 
-    The logits come block by block from _logit_blocks, so no logit tensor is
-    built. In a block both results come from one s = sigmoid(theta): the
-    cell loss is max(theta, 0) - log(max(s, 1 - s)) and the working tensor
-    is theta + 4*(x - s). max(s, 1 - s) is sigmoid(|theta|), which lies in
-    [1/2, 1], where s and 1 - s are both within an ulp of their true values;
-    so its log is accurate to a few ulp of 1 at any |theta|, and the exact
-    max(theta, 0) carries the rest of the loss. The other side would not do:
-    past |theta| of about 37, 1 - s for theta > 0 rounds to 0 and its log is
-    -inf.
+    The negated logits come block by block from _logit_blocks, so no logit
+    tensor is built. In a block both results come from one e = exp(-theta):
+    the loss sums the cell losses softplus(theta) = log(1 + e) + theta and
+    subtracts <x, theta>, so the loss alone takes no division; the working
+    tensor is theta + 4*(x - s) with s = 1/(1 + e), which is sigmoid()'s
+    formula, bit for bit. Below theta = -709.78, e overflows to inf: s is
+    then 0, as sigmoid() gives, but the block's loss is not finite, so that
+    block's cell losses are rescored with the stable softplus. Neither the
+    overflow nor an underflow warns.
     """
     obs = None if x.fully_observed else x.mask
     nll = resid = 0.0
-    for a, b, th, sig_buf, t, xb in _logit_blocks(x, theta, scratch=3):
-        np.copyto(xb, x.values[a:b])  # the block's data as floats, converted once
-        ob = None if obs is None else obs[a:b]
-        s = sigmoid(th, out=sig_buf if out is None else out[a:b])
-        np.subtract(1.0, s, out=t)
-        np.maximum(s, t, out=t)
-        np.log(t, out=t)  # log sigmoid(|theta|)
-        xth = np.vdot(xb, th)
-        if out is not None:
-            np.subtract(xb, s, out=s)
-            s *= 4.0
-            resid += _observed_sum(s, ob)
-            s += th  # z; unobserved cells hold 0 + theta
-        np.maximum(th, 0.0, out=th)  # theta is not read after this
-        th -= t
-        nll += _observed_sum(th, ob) - xth
+    # an overflowed cell's loss is inf, and nan where the mask zeroes it
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        for a, b, n, e, xb, ob in _logit_blocks(x, theta, scratch=3):
+            if obs is None:
+                ob = None
+            else:
+                np.copyto(ob, obs[a:b])  # the block's mask as floats, converted once
+            np.exp(n, out=e)
+            e += 1.0
+            if out is not None:
+                s = np.divide(1.0, e, out=out[a:b])
+            np.log(e, out=e)
+            e -= n  # softplus(theta)
+            loss = _observed_sum(e, ob)
+            if not np.isfinite(loss):
+                loss = _observed_sum(softplus(-n), ob)
+            np.copyto(xb, x.values[a:b])  # the block's data as floats, converted once
+            nll += loss + np.vdot(xb, n)
+            if out is not None:
+                np.subtract(xb, s, out=s)
+                s *= 4.0
+                resid += _observed_sum(s, ob)
+                s -= n  # z; unobserved cells hold 0 + theta
     return float(nll) if out is None else (float(nll), float(resid) / 4.0)
 
 

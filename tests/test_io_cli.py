@@ -11,7 +11,7 @@ import warnings
 import numpy as np
 import pytest
 
-from logitcp import cli, decomp, fileio, simulate
+from logitcp import cli, decomp, fileio, selection, simulate
 from logitcp.likelihood import BinaryTensor, LogitModel
 
 
@@ -332,9 +332,10 @@ def test_written_tensor_files_never_reach_the_walker(tmp_path, monkeypatch):
         got_values, got_mask = fileio.read_tensor(p)
         assert np.array_equal(got_mask, mask) and np.array_equal(got_values, values & mask)
     text = p.read_text()
-    for body in (text.rstrip("\n"), text.replace("\n", "\r\n")):
+    for body in (text.rstrip("\n"), text.replace("\n", "\r\n"), text.replace(" ", "\t")):
         p.write_text(body, newline="")
-        assert np.array_equal(fileio.read_tensor(p)[1], mask)
+        got_values, got_mask = fileio.read_tensor(p)
+        assert np.array_equal(got_mask, mask) and np.array_equal(got_values, values & mask)
 
 
 # ------------------------------------------------------------ model files
@@ -690,6 +691,10 @@ def test_cli_fit_converged_run_and_outputs(sim_file, tmp_path, capsys):
     report = (tmp_path / "fit.model.report.txt").read_text()
     assert "neg log-likelihood:" in report and "AIC:" in report
     assert "component  weight" in report
+    # the criteria are derived from the one scored likelihood, as selection's
+    x = fileio.read_binary_tensor(sim_file)
+    assert f"AIC: {selection.aic(x, model):.6f}\n" in report
+    assert f"BIC: {selection.bic(x, model):.6f}\n" in report
 
 
 def test_cli_fit_same_seed_is_bit_identical(sim_file, tmp_path):

@@ -1,6 +1,7 @@
 """Bernoulli likelihood, the quadratic majorizer, and model containers."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -197,24 +198,36 @@ def test_loss_and_working_matches_references_dense_and_masked():
         np.testing.assert_allclose(out, want_z, rtol=0, atol=1e-12)
         # unobserved cells carry theta exactly
         assert np.array_equal(out[~mask], theta[~mask])
-    # dense data takes one plain sum, bit for bit
+    # dense data takes one plain sum, bit for bit, the kernel's chain on the
+    # negated logits n = -theta: sum(log(1 + exp(n)) - n) + <x, n>
     x = BinaryTensor.dense(vals)
-    s = sigmoid(theta)
-    one_sum = (np.maximum(theta, 0.0) - np.log(np.maximum(s, 1.0 - s))).sum()
-    one_sum -= np.vdot(vals, theta)
-    assert loss_and_working(x, theta, np.empty(shape))[0] == loss_and_working(x, theta) == one_sum
+    for logits in (np.maximum(theta, -709.0), theta):
+        n = np.negative(logits)
+        with np.errstate(over="ignore"):
+            cell = np.log(np.exp(n) + 1.0) - n
+        if not np.isfinite(cell.sum()):  # exp overflows at -745 and -800: softplus instead
+            cell = softplus(logits)
+        one_sum = cell.sum() + np.vdot(vals, n)
+        got = loss_and_working(x, logits, np.empty(shape))[0]
+        assert got == loss_and_working(x, logits) == one_sum
 
 
-def _whole_array_scoring(x, theta):
-    """The unblocked scoring chain on the whole logit tensor, operation for
-    operation: (loss, working tensor, residual sum)."""
+def _sigmoid_chain(x, theta, rows):
+    """The scoring chain through the public sigmoid on the whole logit
+    tensor: (loss, working tensor, residual sum). The working tensor is
+    built operation for operation, and the residual summed block by block
+    of `rows` mode-1 rows, as the kernel sums it; the loss is
+    max(theta, 0) - log(sigmoid(|theta|)) per cell."""
     s = sigmoid(theta)
     r = 4.0 * (x.values - s)
     if not x.fully_observed:
         r = r * x.mask
+    resid = 0.0
+    for a in range(0, theta.shape[0], rows):
+        resid += r[a : a + rows].sum()
     cell_loss = np.maximum(theta, 0.0) - np.log(np.maximum(s, 1.0 - s))
     loss = cell_loss[x.mask].sum() - np.vdot(x.values, theta)
-    return loss, theta + r, r.sum() / 4.0
+    return loss, theta + r, float(resid) / 4.0
 
 
 def _blockwise_logits(pieces, rows):
@@ -242,6 +255,9 @@ def _unit_columns(rng, p, r):
 @pytest.mark.parametrize("rank", [0, 1, 3])
 @pytest.mark.parametrize("masking", ["dense", "masked", "empty-first-block"])
 def test_blocked_scoring_matches_whole_array_chain(dims, n_blocks, rank, masking):
+    # the working tensor and the residual are the sigmoid chain's, bit for
+    # bit, at every rank and mask, and where exp(-theta) overflows or
+    # underflows; the loss, scored as softplus, agrees to rounding
     rng = np.random.default_rng(rank + 7 * len(masking))
     rows = max(1, BLOCK_CELLS // (dims[1] * dims[2]))  # mode-1 rows per block
     assert -(-dims[0] // rows) == n_blocks
@@ -264,18 +280,43 @@ def test_blocked_scoring_matches_whole_array_chain(dims, n_blocks, rank, masking
         blockwise = _blockwise_logits(pieces, rows)
         np.testing.assert_allclose(blockwise, ops.cp_reconstruct(*pieces), rtol=1e-14, atol=1e-14)
         for given, logits in ((theta, theta), (pieces, blockwise)):
-            want_nll, want_z, want_resid = _whole_array_scoring(x, logits)
+            want_nll, want_z, want_resid = _sigmoid_chain(x, logits, rows)
             out = np.full(dims, np.nan)
             with np.errstate(all="raise"):
                 nll, resid = loss_and_working(x, given, out)
                 loss_only = loss_and_working(x, given)
             assert np.array_equal(out, want_z)
+            assert resid == want_resid
             assert loss_only == nll
             assert nll == pytest.approx(want_nll, rel=1e-12)
-            assert resid == pytest.approx(want_resid, rel=1e-12, abs=1e-12)
             if rank:
                 m = LogitModel(mu, d, U, V, W)
                 assert neg_loglik(x, m) == pytest.approx(neg_loglik(x, m.theta()), rel=1e-12)
+
+
+@pytest.mark.parametrize("masked", [False, True])
+def test_cp_block_past_exp_overflow_is_rescored(masked):
+    # rank-one logits below -709.78 in the middle block only: that block's
+    # cell losses come from softplus, the others' from log(1 + exp(-theta))
+    dims = (70, 30, 40)
+    rows = BLOCK_CELLS // (dims[1] * dims[2])
+    u = np.full(dims[0], 0.01)
+    u[rows + 3 : rows + 9] = -1.0
+    U, V, W = (f[:, None] / np.linalg.norm(f) for f in (u, np.ones(dims[1]), np.ones(dims[2])))
+    pieces = (0.5, np.array([1e5]), U, V, W)
+    theta = ops.cp_reconstruct(*pieces)
+    block_min = [theta[a : a + rows].min() for a in range(0, dims[0], rows)]
+    assert len(block_min) == 3 and block_min[1] < -709.78 < min(block_min[0], block_min[2])
+    rng = np.random.default_rng(5)
+    mask = rng.random(dims) < 0.7 if masked else np.ones(dims, dtype=bool)
+    vals = rng.random(dims) < 0.5
+    x = BinaryTensor(vals & mask, mask)
+    want = float(np.logaddexp(0.0, theta[mask]).sum() - np.vdot(x.values, theta))
+    with warnings.catch_warnings(), np.errstate(all="raise"):
+        warnings.simplefilter("error")
+        loss_only = loss_and_working(x, pieces)
+        nll, _ = loss_and_working(x, pieces, np.empty(dims))
+    assert loss_only == nll == pytest.approx(want, rel=1e-12)
 
 
 def test_loss_and_working_rejects_shape_mismatch():
