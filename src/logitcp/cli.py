@@ -146,8 +146,8 @@ def _fit_report_text(x, report, cfg, method):
         f"offset mu: {m.mu:.6f}",
         f"neg log-likelihood: {nll:.6f}",
         f"df: {df}",
-        f"AIC: {2.0 * nll + selection._df_weight(x, 'aic') * df:.6f}",
-        f"BIC: {2.0 * nll + selection._df_weight(x, 'bic') * df:.6f}",
+        f"AIC: {selection.information_criterion(x, nll, df, 'aic'):.6f}",
+        f"BIC: {selection.information_criterion(x, nll, df, 'bic'):.6f}",
         "",
         "component  weight      single-dev    cum-explained  marg-explained",
     ]

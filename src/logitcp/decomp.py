@@ -28,6 +28,7 @@ from .likelihood import (
     LogitModel,
     _logit_blocks,
     _observed_sum,
+    _sigmoid_of_negated,
     loss_and_working,
     neg_loglik,
     sigmoid,
@@ -331,21 +332,6 @@ def power_update(zc, u, v, w, mode, penalty="none", c=None, s=None):
     return _project(g, mode, penalty, c, s)
 
 
-def _logit_bound(theta_c):
-    """An upper bound on |theta_c| over all cells: 0 without components,
-    sum_r d_r max|u_r| max|v_r| max|w_r| for CP pieces (d, U, V, W), and inf
-    for a logit tensor, whose cells are not looked at."""
-    if theta_c is None:
-        return 0.0
-    if not isinstance(theta_c, tuple):
-        return math.inf
-    d, *factors = theta_c
-    bound = np.abs(np.asarray(d, dtype=float).reshape(-1))
-    for f in factors:
-        bound = bound * np.abs(f).max(axis=0)
-    return float(bound.sum())
-
-
 def final_offset(x, theta_c=None):
     """Offset maximizing the observed-data log-likelihood for fixed centered
     logits theta_c: a logit tensor of x's shape, the CP pieces (d, U, V, W)
@@ -360,15 +346,6 @@ def final_offset(x, theta_c=None):
     fitting (a direct call on such data returns 40 or -40). The search
     stops once |gradient| < 1e-8, or after 200 steps.
 
-    The ends are scored only when they could be returned. With n observed
-    cells and |theta_c| <= B (see _logit_bound), the sum of sigmoid(mu +
-    theta_c) is at most n*sigmoid(B - 40) at mu = -40 and at least n minus
-    that at mu = 40; so while both the ones and the zeros outnumber
-    n*sigmoid(B - 40) + 1, the gradient is positive at -40 and negative at
-    40 by far more than the tolerance and rounding, and the search starts
-    from the same bracket without them. A logit tensor always has its ends
-    scored.
-
     The gradient, and on Newton steps the curvature, are summed one block of
     mode-1 rows at a time, with CP logits formed per block as the scoring
     kernel forms them, so no full-size array is built. Without components
@@ -378,10 +355,8 @@ def final_offset(x, theta_c=None):
     tol = 1e-8
     if isinstance(theta_c, tuple) and len(theta_c) != 4:
         raise ValueError(f"centered logits need (d, U, V, W), got {len(theta_c)} pieces")
-    n, ones = x.n_observed, float(np.count_nonzero(x.values))  # unobserved cells hold 0
-    if isinstance(theta_c, tuple) and np.size(theta_c[0]) == 0:
-        theta_c = None
-    if theta_c is None:
+    if theta_c is None or isinstance(theta_c, tuple) and np.size(theta_c[0]) == 0:
+        n, ones = x.n_observed, float(x.values.sum())  # unobserved cells hold 0
 
         def sums(mu, curve):
             p = float(sigmoid(mu))
@@ -396,9 +371,7 @@ def final_offset(x, theta_c=None):
             with np.errstate(over="ignore", under="ignore"):
                 for a, b, p, r in _logit_blocks(x, src, mu, scratch=1):
                     ob = None if obs is None else obs[a:b]
-                    np.exp(p, out=p)  # p held -(mu + theta_c); this is sigmoid()'s formula
-                    p += 1.0
-                    np.divide(1.0, p, out=p)
+                    _sigmoid_of_negated(p)  # p held -(mu + theta_c)
                     if curve:
                         np.subtract(1.0, p, out=r)
                         r *= p
@@ -409,11 +382,10 @@ def final_offset(x, theta_c=None):
             return float(g), float(h)
 
     lo, hi = -40.0, 40.0
-    if n * sigmoid(_logit_bound(theta_c) - 40.0) + 1.0 >= min(ones, n - ones):
-        if sums(lo, False)[0] <= tol:
-            return lo
-        if sums(hi, False)[0] >= -tol:
-            return hi
+    if sums(lo, False)[0] <= tol:
+        return lo
+    if sums(hi, False)[0] >= -tol:
+        return hi
     mu = 0.0
     for _ in range(200):
         g, curve = sums(mu, True)

@@ -38,10 +38,27 @@ def sigmoid(t, out=None):
     # every step runs in the one buffer negative() returns
     e = np.asarray(np.negative(t, out=out, dtype=float))
     with np.errstate(over="ignore", under="ignore"):
-        np.exp(e, out=e)
-    e += 1.0
-    np.divide(1.0, e, out=e)
+        _sigmoid_of_negated(e)
     return e if out is not None or e.ndim else e[()]
+
+
+def _one_plus_exp(n, out):
+    """1 + exp(n) into out, which may be n; past n = 709.78 it is inf. The
+    caller silences that overflow and the underflow, once per call rather
+    than once per block."""
+    np.exp(n, out=out)
+    out += 1.0
+    return out
+
+
+def _sigmoid_of_negated(n, out=None, denom=None):
+    """sigmoid(-n) = 1/(1 + exp(n)), the formula sigmoid() and the scoring
+    kernels share for the negated logits n, into out (default n itself).
+    1 + exp(n) is formed in denom (default out), which keeps it. As in
+    _one_plus_exp, the caller silences overflow and underflow."""
+    out = n if out is None else out
+    denom = _one_plus_exp(n, out if denom is None else denom)
+    return np.divide(1.0, denom, out=out)
 
 
 def softplus(t):
@@ -254,11 +271,11 @@ def loss_and_working(x, theta, out=None):
     tensor is built. In a block both results come from one e = exp(-theta):
     the loss sums the cell losses softplus(theta) = log(1 + e) + theta and
     subtracts <x, theta>, so the loss alone takes no division; the working
-    tensor is theta + 4*(x - s) with s = 1/(1 + e), which is sigmoid()'s
-    formula, bit for bit. Below theta = -709.78, e overflows to inf: s is
-    then 0, as sigmoid() gives, but the block's loss is not finite, so that
-    block's cell losses are rescored with the stable softplus. Neither the
-    overflow nor an underflow warns.
+    tensor is theta + 4*(x - s) with s = 1/(1 + e), formed by the helper
+    sigmoid() uses, so s is sigmoid(theta) bit for bit. Below theta =
+    -709.78, e overflows to inf: s is then 0, as sigmoid() gives, but the
+    block's loss is not finite, so that block's cell losses are rescored
+    with the stable softplus. Neither the overflow nor an underflow warns.
     """
     obs = None if x.fully_observed else x.mask
     nll = resid = 0.0
@@ -269,10 +286,10 @@ def loss_and_working(x, theta, out=None):
                 ob = None
             else:
                 np.copyto(ob, obs[a:b])  # the block's mask as floats, converted once
-            np.exp(n, out=e)
-            e += 1.0
-            if out is not None:
-                s = np.divide(1.0, e, out=out[a:b])
+            if out is None:
+                _one_plus_exp(n, e)
+            else:
+                s = _sigmoid_of_negated(n, out[a:b], denom=e)
             np.log(e, out=e)
             e -= n  # softplus(theta)
             loss = _observed_sum(e, ob)

@@ -26,6 +26,7 @@ __all__ = [
     "model_df",
     "aic",
     "bic",
+    "information_criterion",
     "cv_split",
     "SelectionGrid",
     "ScoreRow",
@@ -47,22 +48,24 @@ def model_df(model):
     return 1 + nnz - 2 * model.rank
 
 
-def _df_weight(x, criterion):
-    """The price of one degree of freedom: 2 for AIC, log(n_observed) for
-    BIC."""
+def information_criterion(x, nll, df, criterion):
+    """AIC or BIC of a model of x with negative log-likelihood nll and df
+    degrees of freedom: 2 * nll + w * df, one degree of freedom costing
+    w = 2 for AIC and log(n_observed) for BIC."""
     if criterion not in ("aic", "bic"):
         raise ValueError(f"an information criterion is aic or bic, got {criterion!r}")
-    return 2.0 if criterion == "aic" else math.log(x.n_observed)
+    weight = 2.0 if criterion == "aic" else math.log(x.n_observed)
+    return 2.0 * nll + weight * df
 
 
 def aic(x, model):
     """Residual deviance plus 2 * df."""
-    return deviance(x, model) + _df_weight(x, "aic") * model_df(model)
+    return information_criterion(x, neg_loglik(x, model), model_df(model), "aic")
 
 
 def bic(x, model):
     """Residual deviance plus log(n_observed) * df."""
-    return deviance(x, model) + _df_weight(x, "bic") * model_df(model)
+    return information_criterion(x, neg_loglik(x, model), model_df(model), "bic")
 
 
 def cv_split(x, n_folds=5, seed=0):
@@ -198,12 +201,13 @@ def _sweep(x, cfg, grid, method, criterion, folds=None):
     Each split, the full data or one fold's (train, test) masks, fits every
     grid rank at the ratio once; each model is scored once on the split's
     scoring cells. A row holds the mean neg_loglik and df over the splits;
-    cv scores that neg_loglik, aic and bic 2 * neg_loglik + _df_weight * df.
+    cv scores that neg_loglik, aic and bic their information_criterion.
     A ratio whose fit raises ValueError or RuntimeError gets invalid rows
     with the message as a note rather than aborting the sweep.
     """
     ratios = _grid_ratios(grid, method)
-    weight = None if folds else _df_weight(x, criterion)  # folds are scored by cv
+    if not folds:  # folds are scored by cv; refuse any other criterion before a fit
+        information_criterion(x, 0.0, 0, criterion)
     cfg = replace(cfg, rank=max(grid.ranks))
     table = ScoreTable(criterion=criterion)
     for ratio in ratios:
@@ -226,7 +230,7 @@ def _sweep(x, cfg, grid, method, criterion, folds=None):
             continue
         for r in grid.ranks:
             mean_nll, mean_df = float(np.mean(nll[r])), float(np.mean(dfs[r]))
-            score = mean_nll if weight is None else 2.0 * mean_nll + weight * mean_df
+            score = mean_nll if folds else information_criterion(x, mean_nll, mean_df, criterion)
             table.rows.append(ScoreRow(r, ratio, score, mean_df, mean_nll))
     return table
 

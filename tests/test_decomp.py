@@ -337,58 +337,20 @@ def test_final_offset_matches_grid_oracle(masked, rank, monkeypatch):
     assert got == pytest.approx(oracle, abs=1e-3)
 
 
-def _offsets_scored(monkeypatch):
-    """The offsets final_offset scores, in order, from here on."""
-    offsets, blocks = [], decomp._logit_blocks
-
-    def spy(x, theta, offset=0.0, scratch=0):
-        offsets.append(offset)
-        return blocks(x, theta, offset, scratch)
-
-    monkeypatch.setattr(decomp, "_logit_blocks", spy)
-    return offsets
-
-
-@pytest.mark.parametrize("rank", [1, 3])
-@pytest.mark.parametrize("masked", [False, True])
-def test_final_offset_skipped_ends_change_no_bit(masked, rank, monkeypatch):
-    # the CP pieces bound |theta_c| well inside 40, so neither end can be
-    # returned and the search starts from the same bracket without scoring
-    # them; forcing them to be scored changes no bit of the offset
-    rng = np.random.default_rng(rank)
-    dims = (60, 20, 30)
-    mask = rng.random(dims) < 0.7 if masked else np.ones(dims, dtype=bool)
-    x = BinaryTensor(rng.random(dims) < 0.3, mask)
-    d = np.sort(rng.uniform(5.0, 20.0, rank))[::-1]
-    pieces = (d, *(f / np.linalg.norm(f, axis=0) for f in (rng.standard_normal((p, rank)) for p in dims)))
-    assert decomp._logit_bound(pieces) < 40.0
-    offsets = _offsets_scored(monkeypatch)
-    skipped = final_offset(x, pieces)
-    assert offsets and -40.0 not in offsets and 40.0 not in offsets
-    offsets.clear()
-    monkeypatch.setattr(decomp, "_logit_bound", lambda theta_c: np.inf)
-    scored = final_offset(x, pieces)
-    assert offsets[:2] == [-40.0, 40.0] and len(offsets) > 2
-    assert skipped == scored
-
-
 @pytest.mark.parametrize("sign", [1.0, -1.0])
-def test_final_offset_returns_an_end_beyond_a_bound_over_40(sign, monkeypatch):
+def test_final_offset_returns_an_end_for_logits_beyond_40(sign):
     # rank-one logits of 2*sign on even rows and -120*sign on odd ones, and
     # data that are 1 where the logit is positive: the best offset is
-    # 59*sign, so the pieces' bound of 120 leaves the ends to be scored, and
-    # the end at 40*sign is returned
+    # 59*sign, outside the bracket, so the end at 40*sign is returned for
+    # the CP pieces and for their logit tensor alike
     dims = (20, 6, 5)
     u = np.where(np.arange(dims[0]) % 2 == 0, 1.0, -60.0) * sign
     d = 2.0 * np.linalg.norm(u) * np.sqrt(dims[1] * dims[2])
     pieces = ([d], *(f[:, None] / np.linalg.norm(f) for f in (u, np.ones(dims[1]), np.ones(dims[2]))))
-    assert decomp._logit_bound(pieces) == pytest.approx(120.0)
     theta_c = ops.cp_reconstruct(0.0, *pieces)
     x = BinaryTensor.dense(theta_c > 0)
-    offsets = _offsets_scored(monkeypatch)
     for given in (pieces, theta_c):
         assert final_offset(x, given) == 40.0 * sign
-    assert offsets == ([-40.0, 40.0] * 2 if sign > 0 else [-40.0] * 2)
 
 
 # ----------------------------------------------------------- rank-one MM

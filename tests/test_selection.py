@@ -8,7 +8,7 @@ import pytest
 
 from logitcp import selection
 from logitcp.decomp import FitConfig, final_offset, fit, fit_rank_path, method_config
-from logitcp.likelihood import BinaryTensor, LogitModel, deviance, sigmoid
+from logitcp.likelihood import BinaryTensor, LogitModel, deviance, neg_loglik, sigmoid
 from logitcp.selection import (
     SelectionGrid,
     aic,
@@ -60,6 +60,12 @@ def test_aic_bic_formulas_and_identity():
     assert aic(x, m) == pytest.approx(dev + 2 * df, abs=1e-10)
     assert bic(x, m) == pytest.approx(dev + math.log(x.n_observed) * df, abs=1e-10)
     assert bic(x, m) - aic(x, m) == pytest.approx((math.log(24) - 2) * df, abs=1e-10)
+    # both are the one formula on the model's scored likelihood, bit for bit
+    nll = neg_loglik(x, m)
+    assert aic(x, m) == selection.information_criterion(x, nll, df, "aic")
+    assert bic(x, m) == selection.information_criterion(x, nll, df, "bic")
+    with pytest.raises(ValueError, match="aic or bic"):
+        selection.information_criterion(x, nll, df, "cv")
 
 
 def test_bic_masked_uses_observed_count():
