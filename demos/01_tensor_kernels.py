@@ -36,7 +36,7 @@ print(kr)
 # Its Gram matrix never needs the tall product: it is the Hadamard product
 # of the small Grams. This identity is what makes the ALS updates cheap.
 print("\nGram identity gap:",
-      np.abs(kr.T @ kr - ops.hadamard(a.T @ a, b.T @ b)).max())
+      np.abs(kr.T @ kr - (a.T @ a) * (b.T @ b)).max())
 
 # A CP model stacks rank-one layers d_r * u_r o v_r o w_r on an offset.
 rng = np.random.default_rng(0)

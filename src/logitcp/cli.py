@@ -28,16 +28,22 @@ def _floats(text):
     return tuple(float(t) for t in text.split(","))
 
 
+def _seed(text):
+    seed = int(text)
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {seed}")
+    return seed
+
+
 # ------------------------------------------------------------- simulate
 
 
 def _run_simulate(args):
-    common = dict(
-        sparsity=args.sparsity,
-        mu=args.mu,
-        seed=args.seed,
-        baseline_reps=args.baseline_reps,
-    )
+    common = dict(sparsity=args.sparsity, mu=args.mu, seed=args.seed)
+    if args.baseline_reps is not None:
+        if args.baseline_weight is not None:
+            raise UsageError("--baseline-reps cannot be combined with --baseline-weight")
+        common["baseline_reps"] = args.baseline_reps
     if args.scenario:
         # a scenario fixes dims and rank; --snr overrides its signal strengths
         given = [f for f, v in (("--dims", args.dims), ("--rank", args.rank)) if v is not None]
@@ -319,7 +325,7 @@ def _add_fit_flags(p, require_rank):
                    help="tp/tsp/ttp multi-start pool size (default max(10, rank^3))")
     p.add_argument("--init", choices=("spectral", "random"), help="default spectral")
     p.add_argument("--max-outer", type=int, help="default 50")
-    p.add_argument("--seed", type=int, help="default 0")
+    p.add_argument("--seed", type=_seed, help="default 0")
 
 
 def _build_parser():
@@ -338,8 +344,9 @@ def _build_parser():
     p.add_argument("--snr", type=_floats, help="per-component signal-to-noise, e.g. 5,3")
     p.add_argument("--sparsity", type=float, default=0.2)
     p.add_argument("--mu", type=float, default=0.0)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--baseline-reps", type=int, default=100)
+    p.add_argument("--seed", type=_seed, default=0)
+    p.add_argument("--baseline-reps", type=int,
+                   help="noise fits averaged for the baseline (default 100)")
     p.add_argument("--baseline-weight", type=float, default=None,
                    help="skip calibration and use this noise baseline")
     p.add_argument("--out", required=True)
@@ -361,7 +368,7 @@ def _build_parser():
     p.add_argument("--folds", type=int, help="cv folds (default 5); only with --criterion cv")
     p.add_argument("--starts", type=int, default=None)
     p.add_argument("--init", choices=("spectral", "random"), default="spectral")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_run_select)
 

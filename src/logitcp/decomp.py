@@ -26,9 +26,7 @@ from . import ops
 from .likelihood import (
     BLOCK_CELLS,
     LogitModel,
-    _logit_blocks,
-    _observed_sum,
-    _sigmoid_of_negated,
+    _offset_sums,
     loss_and_working,
     neg_loglik,
     sigmoid,
@@ -82,12 +80,14 @@ def _rng(seed, *key):
 
 @dataclass
 class FitConfig:
-    """Knobs shared by every solver.
+    """Solver settings.
 
     penalty selects the block update: "none" (plain power method / ALS),
     "l1" (soft-threshold with per-mode budgets c), or "l0" (hard truncation
     to per-mode cardinalities s). n_starts defaults to max(10, rank**3).
     seed may be an int or a tuple of ints; all randomness derives from it.
+    ALS fits from one start, so it ignores n_starts and cluster_threshold,
+    and it refuses symmetric_uv and every penalty but "none".
     """
 
     rank: int = 1
@@ -334,8 +334,8 @@ def power_update(zc, u, v, w, mode, penalty="none", c=None, s=None):
 
 def final_offset(x, theta_c=None):
     """Offset maximizing the observed-data log-likelihood for fixed centered
-    logits theta_c: a logit tensor of x's shape, the CP pieces (d, U, V, W)
-    of one, or None for all-zero logits.
+    logits theta_c: the CP pieces (d, U, V, W) of a model without its
+    offset, or None for all-zero logits.
 
     The gradient sum(x - sigmoid(mu + theta_c)) is strictly decreasing in mu,
     so the root is unique; Newton steps are safeguarded by bisection on
@@ -346,16 +346,16 @@ def final_offset(x, theta_c=None):
     fitting (a direct call on such data returns 40 or -40). The search
     stops once |gradient| < 1e-8, or after 200 steps.
 
-    The gradient, and on Newton steps the curvature, are summed one block of
-    mode-1 rows at a time, with CP logits formed per block as the scoring
-    kernel forms them, so no full-size array is built. Without components
-    (None, or pieces of rank 0) every cell has logit mu and both sums are
-    closed-form.
+    The gradient, and on Newton steps the curvature, come from the scoring
+    kernel's block sums (likelihood._offset_sums), so no full-size array is
+    built. Without components (None, or pieces of rank 0) every cell has
+    logit mu and both sums are closed-form.
     """
     tol = 1e-8
-    if isinstance(theta_c, tuple) and len(theta_c) != 4:
-        raise ValueError(f"centered logits need (d, U, V, W), got {len(theta_c)} pieces")
-    if theta_c is None or isinstance(theta_c, tuple) and np.size(theta_c[0]) == 0:
+    if theta_c is not None and not (isinstance(theta_c, tuple) and len(theta_c) == 4):
+        got = f"{len(theta_c)} pieces" if isinstance(theta_c, tuple) else type(theta_c).__name__
+        raise ValueError(f"centered logits need the CP pieces (d, U, V, W) or None, got {got}")
+    if theta_c is None or np.size(theta_c[0]) == 0:
         n, ones = x.n_observed, float(x.values.sum())  # unobserved cells hold 0
 
         def sums(mu, curve):
@@ -363,23 +363,8 @@ def final_offset(x, theta_c=None):
             return ones - n * p, n * p * (1.0 - p)
 
     else:
-        src = (0.0, *theta_c) if isinstance(theta_c, tuple) else theta_c
-        obs = None if x.fully_observed else x.mask
-
-        def sums(mu, curve):  # sums of x - p and, if curve, p(1 - p); p = sigmoid(mu + theta_c)
-            g = h = 0.0
-            with np.errstate(over="ignore", under="ignore"):
-                for a, b, p, r in _logit_blocks(x, src, mu, scratch=1):
-                    ob = None if obs is None else obs[a:b]
-                    _sigmoid_of_negated(p)  # p held -(mu + theta_c)
-                    if curve:
-                        np.subtract(1.0, p, out=r)
-                        r *= p
-                        h += _observed_sum(r, ob)
-                    np.copyto(r, x.values[a:b])  # bool data as floats: one cast, then a float subtract
-                    np.subtract(r, p, out=p)
-                    g += _observed_sum(p, ob)
-            return float(g), float(h)
+        def sums(mu, curve):
+            return _offset_sums(x, (mu, *theta_c), curve)
 
     lo, hi = -40.0, 40.0
     if sums(lo, False)[0] <= tol:
@@ -483,9 +468,9 @@ def _mm_passes(x, cfg, mu, d, factors, sweep):
     """Outer MM passes shared by every solver.
 
     Starts from the logits of (mu, d, factors). Each pass takes the exact
-    offset step mean(y - theta_c) over all cells, which is
-    mu + 4*sum_obs(x - sigmoid(theta))/N as y - theta_c is mu plus the
-    working tensor's residual term; it centers the working tensor y, runs
+    offset step mean(y - theta_c) over all cells, which is mu plus the
+    working residual sum(y - theta) that loss_and_working returns, over the
+    cell count N; it centers the working tensor y, runs
     sweep(zc, factors) -> (d, factors) up to max_inner_iters times to
     decrease the quadratic surrogate, then scores the new logits from the
     factors, writing the next pass's working tensor and residual sum in the
@@ -505,7 +490,7 @@ def _mm_passes(x, cfg, mu, d, factors, sweep):
     n_outer = 0
     while n_outer < cfg.max_outer_iters:
         n_outer += 1
-        mu += 4.0 * resid / y.size
+        mu += resid / y.size
         y -= mu  # y buffer now holds the centered working tensor
         old = factors
         for _ in range(cfg.max_inner_iters):
@@ -623,11 +608,10 @@ def _spectral_pair(q, s, rng):
     return u, v
 
 
-def _init_power(base, cfg, s, rng, spectral):
-    """Rank-one start (u, v, w, d, mu): u and v from the spectral pair, or
+def _init_power(q, cfg, s, rng, spectral):
+    """Rank-one start (u, v, w, d): u and v from the spectral pair, or
     Gaussian when spectral is False or the pair is degenerate; w and d then
-    solved from the centered sign tensor. base is _base_tensor(x)."""
-    q, mu = base
+    solved from the centered sign tensor q of _base_tensor."""
     pair = _spectral_pair(q, s, rng) if spectral else None
     if pair is None:
         u = rng.standard_normal(q.shape[0])
@@ -644,7 +628,7 @@ def _init_power(base, cfg, s, rng, spectral):
     wbar = ops.rank_one_contract(q, u=u, v=v)
     d = float(np.linalg.norm(wbar))
     w = wbar / d if d > 0 else _random_unit(rng, q.shape[2])
-    return u, v, w, d, mu
+    return u, v, w, d
 
 
 # -------------------------------------------------------------------- ALS
@@ -701,10 +685,10 @@ def _leading_left_singular(m, r, rng, gram=None):
     return _normalize_cols_inplace(np.hstack([cols, fill]), rng)
 
 
-def _init_als(x, cfg, rng, spectral):
+def _init_als(x, cfg, rng):
     """ALS start (mu, d, U, V, W). U and V are the top-r left singular
     vectors of the mode-1 and mode-2 unfoldings of the centered sign tensor
-    (HOSVD-style), or Gaussian columns when spectral is False; W and d then
+    (HOSVD-style), or Gaussian columns with init="random"; W and d then
     come from the least-squares solve of the mode-3 unfolding.
 
     No unfolding is copied, except mode 2's when it is tall. A permutation
@@ -716,7 +700,7 @@ def _init_als(x, cfg, rng, spectral):
     q, mu = _base_tensor(x)
     p1, p2, p3 = x.dims
     r = cfg.rank
-    if spectral:
+    if cfg.init == "spectral":
         u_mat = _leading_left_singular(q.reshape(p1, -1), r, rng)
         if p2 <= p1 * p3:
             g2 = np.zeros((p2, p2))
@@ -764,7 +748,7 @@ def als_fit(x, cfg):
     if cfg.symmetric_uv:
         raise ValueError("symmetric mode is only available for the power-method solvers")
     rng = _rng(cfg.seed, 4)
-    mu, d, u_mat, v_mat, w_mat = _init_als(x, cfg, rng, spectral=(cfg.init == "spectral"))
+    mu, d, u_mat, v_mat, w_mat = _init_als(x, cfg, rng)
     r = cfg.rank
 
     def sweep(zc, factors):
@@ -812,19 +796,20 @@ def _tuple_distance(a, b):
     return min(dists)
 
 
-def _run_pool(x, cfg, s, count, stream):
+def _run_pool(x, cfg, s, stream):
     # every start reads the base tensor only, through its own random stream,
     # so all of them are drawn first and the base tensor is freed before the
-    # MM runs allocate their working tensor
-    base = _base_tensor(x)
+    # MM runs allocate their working tensor; each run starts its offset at
+    # the base tensor's mean, rank_one_mm_fit's default
+    q = _base_tensor(x)[0]
     spectral = cfg.init == "spectral" and stream == 1
-    starts = [_init_power(base, cfg, s, _rng(cfg.seed, stream, tau), spectral)
-              for tau in range(count)]
-    del base
+    starts = [_init_power(q, cfg, s, _rng(cfg.seed, stream, tau), spectral)
+              for tau in range(cfg.effective_starts)]
+    del q
     pool = []
-    for u, v, w, d, mu0 in starts:
+    for init in starts:
         try:
-            pool.append(rank_one_mm_fit(x, cfg, init=(u, v, w, d), mu0=mu0))
+            pool.append(rank_one_mm_fit(x, cfg, init=init))
         except DegenerateDirectionError:
             pass
     return pool
@@ -854,7 +839,7 @@ def fit_rank_path(x, cfg, ranks):
     _check_pool(cfg_max)
     start_traces, components = [], []
     for stream in (1, 2):
-        pool = _run_pool(x, cfg_max, s, cfg_max.effective_starts, stream)
+        pool = _run_pool(x, cfg_max, s, stream)
         if not pool and stream == 1:
             raise RuntimeError("all multi-start fits failed; data may be degenerate")
         start_traces += [f.trace for f in pool]

@@ -237,7 +237,7 @@ def read_tensor(path):
         try:
             values = np.zeros(dims, dtype=bool)
             mask = np.zeros(dims, dtype=bool)
-        except MemoryError:
+        except (MemoryError, ValueError):  # numpy: "array is too big" past its size limit
             raise ValueError(f"{path}: dims {dims} too large to hold in memory") from None
         if rest in (b"", b"\n") and _scatter_records(
             fh, dims, values.reshape(-1), mask.reshape(-1)

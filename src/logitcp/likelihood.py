@@ -210,10 +210,9 @@ def deviance(x, model):
 BLOCK_CELLS = 2**15
 
 
-def _logit_blocks(x, theta, offset=0.0, scratch=0):
-    """The negated logits -(theta + offset) of x's cells, one block of
-    mode-1 rows of about BLOCK_CELLS cells at a time, so no full-size array
-    is built.
+def _logit_blocks(x, theta, scratch=0):
+    """The negated logits -theta of x's cells, one block of mode-1 rows of
+    about BLOCK_CELLS cells at a time, so no full-size array is built.
 
     theta is a logit tensor of x's shape or the CP pieces (mu, d, U, V, W)
     of one. Yields (a, b, n, *spare) for rows a:b: n holds the block's
@@ -221,13 +220,11 @@ def _logit_blocks(x, theta, offset=0.0, scratch=0):
     from block to block and free for the caller to overwrite. The logits
     come negated because exp(-theta) is what the callers take. CP logits
     are formed by one matmul whose left factor is negated and whose extra
-    column carries the offset,
-    [-U[a:b] diag(d), -(mu + offset) 1] [khatri_rao(V, W), 1]^T: its inner
-    size is R + 1 >= 2, so rank-one logits avoid BLAS's slow inner-size-1
-    path and no separate pass adds the offset or negates. IEEE rounding is
-    symmetric in sign, so the product is exactly the negation of the one
-    without the minus. A logit tensor takes one subtraction,
-    (-offset) - theta, which rounds as -(theta + offset) does.
+    column carries the offset, [-U[a:b] diag(d), -mu 1] [khatri_rao(V, W), 1]^T:
+    its inner size is R + 1 >= 2, so rank-one logits avoid BLAS's slow
+    inner-size-1 path and no separate pass adds the offset or negates. IEEE
+    rounding is symmetric in sign, so the product is exactly the negation
+    of the one without the minus, as np.negative is of a logit tensor.
     """
     cp = isinstance(theta, tuple)
     if cp:
@@ -235,9 +232,9 @@ def _logit_blocks(x, theta, offset=0.0, scratch=0):
         U = np.asarray(U, dtype=float)
         r = U.shape[1]
         shape = (U.shape[0], len(V), len(W))
-        nud = np.empty((shape[0], r + 1))  # [-U diag(d), -(mu + offset) 1]
+        nud = np.empty((shape[0], r + 1))  # [-U diag(d), -mu 1]
         np.multiply(U, -np.asarray(d, dtype=float).reshape(-1), out=nud[:, :r])
-        nud[:, r] = -(mu + offset)
+        nud[:, r] = -mu
         krt = np.ones((r + 1, shape[1] * shape[2]))  # [khatri_rao(V, W), 1]^T
         krt[:r] = ops.khatri_rao(V, W).T
     else:
@@ -254,18 +251,18 @@ def _logit_blocks(x, theta, offset=0.0, scratch=0):
         if cp:
             np.matmul(nud[a:b], krt, out=blk[0].reshape(b - a, -1))
         else:
-            np.subtract(-offset, theta[a:b], out=blk[0])
+            np.negative(theta[a:b], out=blk[0])
         yield (a, b, *blk)
 
 
 def loss_and_working(x, theta, out=None):
     """Negative log-likelihood of the logits theta over the observed cells;
     theta is a logit tensor of x's shape or the CP pieces (mu, d, U, V, W)
-    of one. With `out`, the working tensor around theta is also written
-    into it and (loss, sum over observed cells of x - sigmoid(theta)) is
-    returned. The working tensor holds the quadratic-majorizer targets:
-    observed cells get z = theta + 4*(x - sigmoid(theta)), unobserved cells
-    keep theta, which makes the surrogate ignore them.
+    of one. With `out`, the working tensor z around theta is also written
+    into it and (loss, sum(z - theta)) is returned. z holds the quadratic
+    majorizer's targets: observed cells get z = theta + 4*(x - sigmoid(theta)),
+    unobserved cells keep theta, which makes the surrogate ignore them. The
+    residual sum(z - theta) over the cell count is the majorizer's offset step.
 
     The negated logits come block by block from _logit_blocks, so no logit
     tensor is built. In a block both results come from one e = exp(-theta):
@@ -302,7 +299,28 @@ def loss_and_working(x, theta, out=None):
                 s *= 4.0
                 resid += _observed_sum(s, ob)
                 s -= n  # z; unobserved cells hold 0 + theta
-    return float(nll) if out is None else (float(nll), float(resid) / 4.0)
+    return float(nll) if out is None else (float(nll), float(resid))
+
+
+def _offset_sums(x, pieces, curve):
+    """The offset solve's sums at the CP pieces (mu, d, U, V, W): the
+    gradient sum over observed cells of x - p and, if curve, the curvature
+    sum of p(1 - p) (else 0.0), with p = sigmoid(theta). Summed block by
+    block from the negated logits, as loss_and_working scores them."""
+    obs = None if x.fully_observed else x.mask
+    g = h = 0.0
+    with np.errstate(over="ignore", under="ignore"):
+        for a, b, p, r in _logit_blocks(x, pieces, scratch=1):
+            ob = None if obs is None else obs[a:b]
+            _sigmoid_of_negated(p)  # p held -theta
+            if curve:
+                np.subtract(1.0, p, out=r)
+                r *= p
+                h += _observed_sum(r, ob)
+            np.copyto(r, x.values[a:b])  # bool data as floats: one cast, then a float subtract
+            np.subtract(r, p, out=p)
+            g += _observed_sum(p, ob)
+    return float(g), float(h)
 
 
 def _observed_sum(a, obs):

@@ -9,7 +9,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import ops
 from .selection import NONZERO_TOL
 
 __all__ = [
@@ -40,7 +39,7 @@ def rmse(fit, truth):
     dims may not."""
     _check_dims(fit, truth)
     diff = fit.theta() - truth.theta()
-    return ops.frob_norm(diff) / np.sqrt(diff.size)
+    return np.linalg.norm(diff) / np.sqrt(diff.size)
 
 
 def _column_error(a, b):

@@ -21,9 +21,7 @@ __all__ = [
     "fold",
     "rank_one_contract",
     "khatri_rao",
-    "hadamard",
     "cp_reconstruct",
-    "frob_norm",
 ]
 
 
@@ -111,15 +109,6 @@ def khatri_rao(a, b):
     return (a[:, None, :] * b[None, :, :]).reshape(m * n, r)
 
 
-def hadamard(a, b):
-    """Elementwise product of two arrays of one shape."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.shape != b.shape:
-        raise ValueError(f"hadamard operands differ in shape: {a.shape} vs {b.shape}")
-    return np.multiply(a, b)
-
-
 def cp_reconstruct(mu, d, U, V, W):
     """Dense logits mu + sum_r d_r u_r o v_r o w_r, C-ordered.
 
@@ -140,9 +129,3 @@ def cp_reconstruct(mu, d, U, V, W):
     out = ((U * d) @ khatri_rao(V, W).T).reshape(dims)
     out += mu
     return out
-
-
-def frob_norm(t):
-    """Frobenius norm of an array of any shape."""
-    return float(np.linalg.norm(np.asarray(t, dtype=float).ravel()))
-

@@ -11,8 +11,8 @@ from dataclasses import dataclass, replace
 import math
 import numpy as np
 
-from . import decomp, ops
-from .likelihood import BinaryTensor, LogitModel, sigmoid
+from . import decomp
+from .likelihood import BinaryTensor, LogitModel
 
 __all__ = [
     "SimConfig",
@@ -202,12 +202,10 @@ def gen_dataset(cfg, baseline_weight=None):
     rng = decomp._rng(cfg.seed, 7)
     u_mat, v_mat, w_mat = gen_sparse_factors(cfg, rng)
     d = np.asarray(cfg.snr, dtype=float) * db
-    # the probabilities overwrite the logits; only the bool draw outlives
-    # this call, as the truth computes its probabilities on access
-    probs = ops.cp_reconstruct(cfg.mu, d, u_mat, v_mat, w_mat)
-    sigmoid(probs, out=probs)
-    x = BinaryTensor.dense(np.less(rng.random(cfg.dims), probs))
     truth = GroundTruth(LogitModel(cfg.mu, d, u_mat, v_mat, w_mat), db)
+    # only the bool draw outlives this call, as the truth computes its
+    # probabilities on access
+    x = BinaryTensor.dense(np.less(rng.random(cfg.dims), truth.probs))
     return x, truth
 
 

@@ -296,13 +296,11 @@ def zero_logits(form, dims):
     """All-zero centered logits in one of final_offset's input forms."""
     if form == "none":
         return None
-    if form == "tensor":
-        return np.zeros(dims)
     r = int(form[-1])  # "pieces0" or "pieces1": (d, U, V, W) of that rank
     return (np.zeros(r), *(np.eye(p, r) for p in dims))
 
 
-@pytest.mark.parametrize("form", ["none", "tensor", "pieces0", "pieces1"])
+@pytest.mark.parametrize("form", ["none", "pieces0", "pieces1"])
 def test_final_offset_symmetry_and_saturation(form):
     half = np.zeros((2, 2, 2))
     half[0] = 1.0
@@ -327,8 +325,7 @@ def test_final_offset_matches_grid_oracle(masked, rank, monkeypatch):
     d = np.sort(1.0 + rng.random(rank))[::-1]
     factors = [f / np.linalg.norm(f, axis=0) for f in (rng.standard_normal((p, rank)) for p in dims)]
     theta_c = ops.cp_reconstruct(0.0, d, *factors)
-    got = final_offset(x, theta_c)
-    assert final_offset(x, (d, *factors)) == pytest.approx(got, rel=0, abs=1e-12)
+    got = final_offset(x, (d, *factors))
     # the observed-cell negative log-likelihood at every grid offset
     grid = np.arange(-6.0, 6.0, 1e-4)[:, None]
     t = grid + theta_c[mask]
@@ -341,32 +338,38 @@ def test_final_offset_matches_grid_oracle(masked, rank, monkeypatch):
 def test_final_offset_returns_an_end_for_logits_beyond_40(sign):
     # rank-one logits of 2*sign on even rows and -120*sign on odd ones, and
     # data that are 1 where the logit is positive: the best offset is
-    # 59*sign, outside the bracket, so the end at 40*sign is returned for
-    # the CP pieces and for their logit tensor alike
+    # 59*sign, outside the bracket, so the end at 40*sign is returned
     dims = (20, 6, 5)
     u = np.where(np.arange(dims[0]) % 2 == 0, 1.0, -60.0) * sign
     d = 2.0 * np.linalg.norm(u) * np.sqrt(dims[1] * dims[2])
     pieces = ([d], *(f[:, None] / np.linalg.norm(f) for f in (u, np.ones(dims[1]), np.ones(dims[2]))))
-    theta_c = ops.cp_reconstruct(0.0, *pieces)
-    x = BinaryTensor.dense(theta_c > 0)
-    for given in (pieces, theta_c):
-        assert final_offset(x, given) == 40.0 * sign
+    x = BinaryTensor.dense(ops.cp_reconstruct(0.0, *pieces) > 0)
+    assert final_offset(x, pieces) == 40.0 * sign
+
+
+def test_final_offset_refuses_anything_but_cp_pieces():
+    # a logit tensor, even one of four mode-1 slices, and a tuple of another
+    # length are refused with the one input form named
+    x = BinaryTensor.dense(np.eye(4)[:, :, None] * np.ones((4, 4, 3)))
+    pieces = (np.ones(1), *(np.ones((p, 1)) / np.sqrt(p) for p in x.dims))
+    for given in (np.zeros(x.dims), list(pieces), pieces[:3], pieces + (0.0,)):
+        with pytest.raises(ValueError, match=r"CP pieces \(d, U, V, W\) or None"):
+            final_offset(x, given)
 
 
 # ----------------------------------------------------------- rank-one MM
 
 
 def power_start(x, cfg, spectral, seed=None):
-    """A rank-one start (u, v, w, d, mu) as the multi-start pools draw it,
+    """A rank-one start (u, v, w, d) as the multi-start pools draw it,
     from the stream of `seed` (default cfg.seed)."""
     rng = np.random.default_rng(cfg.seed if seed is None else seed)
-    return _init_power(_base_tensor(x), cfg, cfg.s, rng, spectral)
+    return _init_power(_base_tensor(x)[0], cfg, cfg.s, rng, spectral)
 
 
 def mm_fit(x, cfg, seed=None):
     """rank_one_mm_fit from a power_start of cfg.init's kind."""
-    u, v, w, d, mu = power_start(x, cfg, cfg.init == "spectral", seed)
-    return rank_one_mm_fit(x, cfg, init=(u, v, w, d), mu0=mu)
+    return rank_one_mm_fit(x, cfg, init=power_start(x, cfg, cfg.init == "spectral", seed))
 
 
 def test_rank_one_traces_monotone_all_penalties_and_inits():
@@ -477,7 +480,8 @@ def test_rank_one_sweep_matches_three_contraction_reference(penalty, symmetric, 
             outer_abs_tol=1e-12, seed=3, **kw.get(penalty, {}),
         )
         _, s = _check_config(x, cfg)
-        u, v, w, d, mu0 = _init_power(_base_tensor(x), cfg, s, np.random.default_rng(8), True)
+        q, mu0 = _base_tensor(x)
+        u, v, w, d = _init_power(q, cfg, s, np.random.default_rng(8), True)
         got = rank_one_mm_fit(x, cfg, init=(u, v, w, d), mu0=mu0)
         mu, d, (ru, rv, rw), stop = _reference_rank_one(x, cfg, (u, v, w, d), mu0)
         assert got.n_outer == stop.n_outer == passes
@@ -523,7 +527,8 @@ def test_rank_one_fit_from_logits_beyond_exp_overflow():
     # (sigmoid is 0) and must not warn or spoil the loss
     x, _ = planted_rank_one()
     cfg = FitConfig(rank=1, seed=3)
-    u, v, w, _, mu = power_start(x, cfg, spectral=False)
+    u, v, w, _ = power_start(x, cfg, spectral=False)
+    mu = _base_tensor(x)[1]
     d = 1500.0 / -ops.cp_reconstruct(0.0, [1.0], u[:, None], v[:, None], w[:, None]).min()
     start = ops.cp_reconstruct(mu, [d], u[:, None], v[:, None], w[:, None])
     assert start.min() < -709.78
@@ -547,7 +552,7 @@ def test_spectral_init_recovers_sign_tensor_direction():
     w = np.sign(rng.standard_normal(6))
     vals = (np.einsum("i,j,k->ijk", u, v, w) > 0).astype(float)
     x = BinaryTensor.dense(vals)
-    ui, vi, wi, d, mu = power_start(x, FitConfig(rank=1, seed=0), spectral=True)
+    ui, vi, wi, d = power_start(x, FitConfig(rank=1, seed=0), spectral=True)
     assert abs(ui @ (u / np.linalg.norm(u))) == pytest.approx(1.0, abs=1e-8)
     assert abs(vi @ (v / np.linalg.norm(v))) == pytest.approx(1.0, abs=1e-8)
     assert d > 0
@@ -560,9 +565,9 @@ def test_init_shapes_and_determinism():
     b = power_start(x, cfg, spectral=False)
     for va, vb in zip(a, b):
         np.testing.assert_array_equal(va, vb)
-    for u, v, w, d, mu in (a, power_start(x, cfg, spectral=True)):
+    for u, v, w, d in (a, power_start(x, cfg, spectral=True)):
         assert u.shape == (x.dims[0],) and v.shape == (x.dims[1],) and w.shape == (x.dims[2],)
-        assert d > 0 and np.isfinite(mu)
+        assert d > 0
     with pytest.raises(ValueError, match="unknown init"):
         mm_fit(x, FitConfig(rank=1, init="other"))
 
@@ -572,7 +577,7 @@ def test_l0_inits_are_feasible():
     s = (5, 2, 2)
     cfg = FitConfig(rank=1, penalty="l0", s=s, seed=1)
     for spectral in (True, False):
-        u, v, w, d, mu = power_start(x, cfg, spectral)
+        u, v, w, d = power_start(x, cfg, spectral)
         assert int(np.sum(u != 0)) <= s[0]
         assert int(np.sum(v != 0)) <= s[1]
 
@@ -614,10 +619,7 @@ def test_multi_start_single_start_matches_rank_one_plus_offset():
     re = rank_one_mm_fit(
         x, cfg, init=(first.u, first.v, first.w, first.weight), mu0=first.mu
     )
-    theta_c = ops.cp_reconstruct(
-        0.0, [re.weight], re.u[:, None], re.v[:, None], re.w[:, None]
-    )
-    mu_hat = final_offset(x, theta_c)
+    mu_hat = final_offset(x, ([re.weight], re.u[:, None], re.v[:, None], re.w[:, None]))
     assert report.model.rank == 1
     assert report.model.mu == pytest.approx(mu_hat, abs=1e-10)
     assert report.model.d[0] == pytest.approx(re.weight, abs=1e-10)
@@ -833,7 +835,7 @@ def test_als_start_matches_the_unfoldings_it_never_copies(dims, monkeypatch):
     else:  # a direct eigh of a small Gram matrix
         x = BinaryTensor.dense(rng.random(dims) < 0.5)
     q = _base_tensor(x)[0]
-    mu, d, u_mat, v_mat, w_mat = _init_als(x, FitConfig(rank=2), np.random.default_rng(0), True)
+    mu, d, u_mat, v_mat, w_mat = _init_als(x, FitConfig(rank=2), np.random.default_rng(0))
     for mode, cols in ((1, u_mat), (2, v_mat)):
         ref = np.linalg.svd(ops.matricize(q, mode), full_matrices=False)[0][:, :2]
         np.testing.assert_allclose(cols @ cols.T, ref @ ref.T, atol=1e-10)

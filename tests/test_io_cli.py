@@ -224,6 +224,10 @@ def test_read_tensor_error_messages_name_path_and_line(tmp_path):
     assert error(b"dims 2 \xff 2\n1 1 1 1\n").startswith(
         f"{p}: 'utf-8' codec can't decode byte 0xff in position 7"
     )
+    # dims past numpy's array size limit, which it refuses without allocating
+    assert error("dims 10000000 10000000 10000000\n1 1 1 1\n") == (
+        f"{p}: dims (10000000, 10000000, 10000000) too large to hold in memory"
+    )
 
 
 def test_read_tensor_duplicate_past_the_first_chunk(tmp_path):
@@ -580,8 +584,10 @@ def test_cli_simulate_names_a_calibration_config_error(tmp_path, capsys):
     [("--scenario", "I", "--scale", "0.05", "--rank", "2"),
      ("--scenario", "I", "--dims", "3,3,3"),
      ("--scenario", "I", "--scale", "0.05", "--rank", "2", "--dims", "3,3,3"),
-     ("--dims", "6,5,4", "--rank", "1", "--snr", "3", "--scale", "0.5")],
-    ids=["scenario-rank", "scenario-dims", "scenario-rank-dims", "scale-without-scenario"],
+     ("--dims", "6,5,4", "--rank", "1", "--snr", "3", "--scale", "0.5"),
+     ("--dims", "8,5,4", "--rank", "1", "--snr", "3", "--baseline-reps", "5")],
+    ids=["scenario-rank", "scenario-dims", "scenario-rank-dims", "scale-without-scenario",
+         "reps-with-weight"],
 )
 def test_cli_simulate_refuses_flags_it_would_ignore(tmp_path, capsys, flags):
     out = tmp_path / "d"
@@ -590,8 +596,10 @@ def test_cli_simulate_refuses_flags_it_would_ignore(tmp_path, capsys, flags):
     if "--scenario" in flags:
         given = ", ".join(f for f in ("--dims", "--rank") if f in flags)
         assert err == f"error: {given} cannot be combined with --scenario\n"
-    else:
+    elif "--scale" in flags:
         assert err == "error: --scale only applies to --scenario\n"
+    else:
+        assert err == "error: --baseline-reps cannot be combined with --baseline-weight\n"
     assert list(tmp_path.iterdir()) == []
 
 
@@ -633,6 +641,21 @@ def test_cli_rejects_unusable_values_with_exit_2(argv, sim_file, tmp_path, capsy
     assert err.startswith("error: ") and "Traceback" not in err
     if "{huge}" in argv:
         assert f"{huge}: dims (1000000, 1000000, 1000000) too large" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "fit", "select", "complete"])
+def test_cli_refuses_a_negative_seed(command, sim_file, tmp_path, capsys):
+    given = {
+        "simulate": ("--dims", "6,5,4", "--rank", "1", "--snr", "3", "--baseline-weight", "2"),
+        "fit": ("--data", sim_file, "--rank", "1"),
+        "select": ("--data", sim_file, "--ranks", "1"),
+        "complete": ("--data", sim_file, "--rank", "1"),
+    }[command]
+    with pytest.raises(SystemExit) as info:
+        run_cli(command, *given, "--seed", "-3", "--out", tmp_path / "out")
+    assert info.value.code == 2
+    assert "argument --seed: must be a non-negative integer, got -3" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 

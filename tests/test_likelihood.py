@@ -159,11 +159,12 @@ def test_working_tensor_unobserved_cells_keep_theta():
 
 def test_working_tensor_out_buffer():
     # the working tensor goes into `out` in full; with `out` the return value
-    # is (loss, residual sum), the loss the same as without `out`
+    # is (loss, working residual sum(z - theta)), the loss the same as
+    # without `out`
     x = dense(np.ones((2, 2, 2)))
     theta = np.zeros((2, 2, 2))
     buf = np.full_like(theta, np.nan)
-    assert loss_and_working(x, theta, buf) == (loss_and_working(x, theta), 4.0)
+    assert loss_and_working(x, theta, buf) == (loss_and_working(x, theta), 16.0)
     np.testing.assert_array_equal(buf, np.full((2, 2, 2), 2.0))
 
 
@@ -185,7 +186,7 @@ def test_loss_and_working_matches_references_dense_and_masked():
         # references from independent formulas, outside the strict error state
         want_nll = float(np.sum(np.logaddexp(0.0, theta[mask])) - vals[mask] @ theta[mask])
         want_z = np.where(mask, theta + 4.0 * (x.values - expit(theta)), theta)
-        want_resid = float(np.sum(vals[mask] - expit(theta[mask])))
+        want_resid = 4.0 * float(np.sum(vals[mask] - expit(theta[mask])))  # sum(z - theta)
         out = np.empty(shape)
         with np.errstate(all="raise"):
             nll, resid = loss_and_working(x, theta, out)
@@ -214,10 +215,11 @@ def test_loss_and_working_matches_references_dense_and_masked():
 
 def _sigmoid_chain(x, theta, rows):
     """The scoring chain through the public sigmoid on the whole logit
-    tensor: (loss, working tensor, residual sum). The working tensor is
-    built operation for operation, and the residual summed block by block
-    of `rows` mode-1 rows, as the kernel sums it; the loss is
-    max(theta, 0) - log(sigmoid(|theta|)) per cell."""
+    tensor: (loss, working tensor z, working residual sum(z - theta)). The
+    working tensor is built operation for operation, and the residual
+    4*(x - sigmoid(theta)) summed block by block of `rows` mode-1 rows, as
+    the kernel sums it; the loss is max(theta, 0) - log(sigmoid(|theta|))
+    per cell."""
     s = sigmoid(theta)
     r = 4.0 * (x.values - s)
     if not x.fully_observed:
@@ -227,7 +229,7 @@ def _sigmoid_chain(x, theta, rows):
         resid += r[a : a + rows].sum()
     cell_loss = np.maximum(theta, 0.0) - np.log(np.maximum(s, 1.0 - s))
     loss = cell_loss[x.mask].sum() - np.vdot(x.values, theta)
-    return loss, theta + r, float(resid) / 4.0
+    return loss, theta + r, float(resid)
 
 
 def _blockwise_logits(pieces, rows):

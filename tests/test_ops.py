@@ -193,17 +193,3 @@ def test_unfolding_pairs_with_khatri_rao():
     np.testing.assert_allclose(
         ops.matricize(theta, 3), (W * d) @ ops.khatri_rao(V, U).T, atol=1e-10
     )
-
-
-def test_frob_norm_and_inner():
-    a = np.random.default_rng(7).standard_normal((3, 4, 5))
-    assert ops.frob_norm(a) == pytest.approx(np.sqrt((a * a).sum()), abs=1e-12)
-
-
-def test_hadamard_matches_numpy():
-    rng = np.random.default_rng(8)
-    a = rng.standard_normal((4, 4))
-    b = rng.standard_normal((4, 4))
-    np.testing.assert_array_equal(ops.hadamard(a, b), a * b)
-    with pytest.raises(ValueError):
-        ops.hadamard(a, b[:2])
