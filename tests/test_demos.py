@@ -1,5 +1,6 @@
 """Every demo script, and the README's command-line sequence, runs to
-completion against the package in src/.
+completion against the package in src/; the sequence's files match the
+pins in tests/pins.json.
 
 Each demo runs in a fresh interpreter, in an empty working directory that
 it must leave empty.
@@ -10,6 +11,7 @@ import pathlib
 import subprocess
 import sys
 
+import make_pins
 import pytest
 
 import logitcp
@@ -33,27 +35,12 @@ def test_demo_runs(demo, tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
-def _readme_cli_sequence():
-    """The sh block under the README's "## Command line" heading."""
-    text = (pathlib.Path(__file__).resolve().parent.parent / "README.md").read_text()
-    section = text.split("\n## Command line\n", 1)[1]
-    return section.split("```sh\n", 1)[1].split("\n```", 1)[0]
-
-
 def test_readme_cli_sequence_runs_as_written(tmp_path):
-    # logitcp and python3 are bound to this interpreter and the package in
-    # src/; `set -e` stops at the first step that exits nonzero
-    script = (
-        f'logitcp() {{ "{sys.executable}" -m logitcp.cli "$@"; }}\n'
-        f'python3() {{ "{sys.executable}" "$@"; }}\n'
-        "set -e\n" + _readme_cli_sequence() + "\n"
-    )
-    env = dict(os.environ, PYTHONPATH=SRC, OPENBLAS_NUM_THREADS="1")
-    done = subprocess.run(
-        ["sh", "-c", script], cwd=tmp_path, env=env,
-        capture_output=True, text=True, timeout=300,
-    )
+    done = make_pins.run_readme_sequence(tmp_path)
     assert done.returncode == 0, done.stderr
     # the two results the README states
     assert "chosen rank=1 ratio=0.8\n" in done.stdout
     assert "held-out AUC: 0.725" in done.stdout
+    # and every file it writes, byte for byte
+    moved = make_pins.drift(make_pins.load()["readme"], make_pins.file_digests(tmp_path))
+    assert not moved, "pins moved: " + ", ".join(f"{n} ({d})" for n, d in moved.items())
