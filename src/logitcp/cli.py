@@ -1,9 +1,10 @@
 """Command line interface.
 
-Subcommands: simulate, fit, select, complete, report. Exit codes: 0 on
-success, 2 on usage or validation errors, 3 on non-convergence or failed
-computation (partial output is still written where applicable). Outputs are
-deterministic for a fixed seed on one machine with one BLAS thread count.
+Subcommands: simulate, fit, select, complete, report. complete predicts
+from a model file that fit wrote. Exit codes: 0 on success, 2 on usage or
+validation errors, 3 on non-convergence or failed computation (partial
+output is still written where applicable). Outputs are deterministic for a
+fixed seed on one machine with one BLAS thread count.
 """
 
 import argparse
@@ -20,16 +21,26 @@ class UsageError(Exception):
     pass
 
 
+def _split(text, kind, form):
+    try:
+        return tuple(kind(t) for t in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected {form}, got {text!r}") from None
+
+
 def _ints(text):
-    return tuple(int(t) for t in text.split(","))
+    return _split(text, int, "comma-separated integers such as 1,2,3")
 
 
 def _floats(text):
-    return tuple(float(t) for t in text.split(","))
+    return _split(text, float, "comma-separated numbers such as 5,3")
 
 
 def _seed(text):
-    seed = int(text)
+    try:
+        seed = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}") from None
     if seed < 0:
         raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {seed}")
     return seed
@@ -208,33 +219,16 @@ def _run_select(args):
 
 
 def _run_complete(args):
-    if args.model:
-        given = [f"--{d.replace('_', '-')}" for d in _FIT_FLAGS if getattr(args, d) is not None]
-        if given:
-            raise UsageError(f"{', '.join(given)} cannot be combined with --model")
-    impute((), args.threshold)  # refuses a bad threshold before anything is fitted
+    impute((), args.threshold)  # refuses a bad threshold before any file is read
     x = fileio.read_binary_tensor(args.data)
     if x.fully_observed:
         raise UsageError("data has no missing cells to complete")
     heldout = fileio.read_binary_tensor(args.holdout) if args.holdout else None
     if heldout is not None and heldout.dims != x.dims:
         raise UsageError(f"holdout dims {heldout.dims} do not match data dims {x.dims}")
-    code = 0
-    if args.model:
-        model, _ = fileio.read_model(args.model)
-        if model.dims != x.dims:
-            raise UsageError(
-                f"model dims {model.dims} do not match data dims {x.dims}"
-            )
-    else:
-        if args.rank is None:
-            raise UsageError("complete needs --model or fit flags (--rank, --method)")
-        method, cfg = _fit_cfg(args, x.dims)
-        report = decomp.fit(x, cfg, method=method)
-        model = report.model
-        if not report.converged:
-            print(f"warning: fit did not converge ({report.reason})", file=sys.stderr)
-            code = 3
+    model, _ = fileio.read_model(args.model)
+    if model.dims != x.dims:
+        raise UsageError(f"model dims {model.dims} do not match data dims {x.dims}")
     probs = model.probs()
     labels = impute(probs, args.threshold)
     # transposing makes the C-order nonzero scan run with i fastest
@@ -250,7 +244,7 @@ def _run_complete(args):
         hnll = neg_loglik(heldout, model)
         print(f"held-out AUC: {auc:.6f}")
         print(f"held-out neg log-likelihood: {hnll:.6f}")
-    return code
+    return 0
 
 
 # ---------------------------------------------------------------- report
@@ -305,29 +299,6 @@ def _run_report(args):
 # ----------------------------------------------------------------- parser
 
 
-# the fit flags' destinations; each is None when its flag is left out, and
-# _fit_cfg supplies the default
-_FIT_FLAGS = ("rank", "method", "c_ratio", "s_ratio", "symmetric_uv", "starts", "init",
-             "max_outer", "seed")
-
-
-def _add_fit_flags(p, require_rank):
-    p.add_argument("--rank", type=int, required=require_rank)
-    p.add_argument(
-        "--method", choices=decomp.METHODS,
-        help="als, tp (power), tsp (l1), ttp (l0); default tp",
-    )
-    p.add_argument("--c-ratio", type=float, help="l1 budgets c_i = ratio*sqrt(p_i)")
-    p.add_argument("--s-ratio", type=float, help="l0 cardinalities s_i = floor(ratio*p_i)")
-    p.add_argument("--symmetric-uv", action="store_true", default=None,
-                   help="tie the first two modes' factors (needs p1 == p2)")
-    p.add_argument("--starts", type=int, default=None,
-                   help="tp/tsp/ttp multi-start pool size (default max(10, rank^3))")
-    p.add_argument("--init", choices=("spectral", "random"), help="default spectral")
-    p.add_argument("--max-outer", type=int, help="default 50")
-    p.add_argument("--seed", type=_seed, help="default 0")
-
-
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="logitcp",
@@ -352,9 +323,23 @@ def _build_parser():
     p.add_argument("--out", required=True)
     p.set_defaults(func=_run_simulate)
 
+    # a fit flag left out is None, and _fit_cfg supplies the default
     p = sub.add_parser("fit", help="fit one model")
     p.add_argument("--data", required=True)
-    _add_fit_flags(p, require_rank=True)
+    p.add_argument("--rank", type=int, required=True)
+    p.add_argument(
+        "--method", choices=decomp.METHODS,
+        help="als, tp (power), tsp (l1), ttp (l0); default tp",
+    )
+    p.add_argument("--c-ratio", type=float, help="l1 budgets c_i = ratio*sqrt(p_i)")
+    p.add_argument("--s-ratio", type=float, help="l0 cardinalities s_i = floor(ratio*p_i)")
+    p.add_argument("--symmetric-uv", action="store_true", default=None,
+                   help="tie the first two modes' factors (needs p1 == p2)")
+    p.add_argument("--starts", type=int,
+                   help="tp/tsp/ttp multi-start pool size (default max(10, rank^3))")
+    p.add_argument("--init", choices=("spectral", "random"), help="default spectral")
+    p.add_argument("--max-outer", type=int, help="default 50")
+    p.add_argument("--seed", type=_seed, help="default 0")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_run_fit)
 
@@ -374,8 +359,7 @@ def _build_parser():
 
     p = sub.add_parser("complete", help="predict missing cells")
     p.add_argument("--data", required=True)
-    p.add_argument("--model", help="fitted model file; otherwise give fit flags")
-    _add_fit_flags(p, require_rank=False)
+    p.add_argument("--model", required=True, help="model file written by fit")
     p.add_argument("--threshold", type=float, default=0.5)
     p.add_argument("--holdout", help="tensor file of held-out cells to score")
     p.add_argument("--out", required=True)

@@ -43,4 +43,4 @@ def test_readme_cli_sequence_runs_as_written(tmp_path):
     assert "held-out AUC: 0.725" in done.stdout
     # and every file it writes, byte for byte
     moved = make_pins.drift(make_pins.load()["readme"], make_pins.file_digests(tmp_path))
-    assert not moved, "pins moved: " + ", ".join(f"{n} ({d})" for n, d in moved.items())
+    assert not moved, f"pins moved: {moved}"

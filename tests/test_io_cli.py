@@ -11,7 +11,7 @@ import warnings
 import numpy as np
 import pytest
 
-from logitcp import cli, decomp, fileio, selection, simulate
+from logitcp import cli, fileio, selection, simulate
 from logitcp.likelihood import BinaryTensor, LogitModel
 
 
@@ -627,7 +627,8 @@ HUGE_DIMS = "dims 1000000 1000000 1000000\n1 1 1 1\n"
         ("simulate", "--scenario", "I", "--scale", "-1"),
         ("fit", "--data", "{huge}", "--rank", "1"),
         ("select", "--data", "{huge}", "--ranks", "1"),
-        ("complete", "--data", "{huge}", "--rank", "1"),
+        # the data are read before the model
+        ("complete", "--data", "{huge}", "--model", "{sim}.truth"),
     ],
     ids=["fit-s-ratio-inf", "select-ratios-inf", "scale-inf", "scale-negative",
          "fit-huge-dims", "select-huge-dims", "complete-huge-dims"],
@@ -644,18 +645,37 @@ def test_cli_rejects_unusable_values_with_exit_2(argv, sim_file, tmp_path, capsy
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("command", ["simulate", "fit", "select", "complete"])
+@pytest.mark.parametrize("command", ["simulate", "fit", "select"])
 def test_cli_refuses_a_negative_seed(command, sim_file, tmp_path, capsys):
     given = {
         "simulate": ("--dims", "6,5,4", "--rank", "1", "--snr", "3", "--baseline-weight", "2"),
         "fit": ("--data", sim_file, "--rank", "1"),
         "select": ("--data", sim_file, "--ranks", "1"),
-        "complete": ("--data", sim_file, "--rank", "1"),
     }[command]
     with pytest.raises(SystemExit) as info:
         run_cli(command, *given, "--seed", "-3", "--out", tmp_path / "out")
     assert info.value.code == 2
     assert "argument --seed: must be a non-negative integer, got -3" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [(("fit", "--data", "{sim}", "--rank", "1", "--seed", "abc"),
+      "argument --seed: must be a non-negative integer, got 'abc'"),
+     (("simulate", "--dims", "3,x,2", "--rank", "1", "--snr", "3"),
+      "argument --dims: expected comma-separated integers such as 1,2,3, got '3,x,2'"),
+     (("simulate", "--dims", "3,3,2", "--rank", "1", "--snr", "3,abc"),
+      "argument --snr: expected comma-separated numbers such as 5,3, got '3,abc'"),
+     (("select", "--data", "{sim}", "--ranks", "1,,2"),
+      "argument --ranks: expected comma-separated integers such as 1,2,3, got '1,,2'")],
+    ids=["seed", "dims", "snr", "ranks"],
+)
+def test_cli_names_the_expected_form_of_a_value(argv, message, sim_file, tmp_path, capsys):
+    with pytest.raises(SystemExit) as info:
+        run_cli(*(a.format(sim=sim_file) for a in argv), "--out", tmp_path / "out")
+    assert info.value.code == 2
+    assert capsys.readouterr().err.endswith(f"error: {message}\n")
     assert not (tmp_path / "out").exists()
 
 
@@ -761,7 +781,7 @@ def test_cli_fit_flag_validation(sim_file, tmp_path, capsys):
                    "--out", out) == 2
 
 
-@pytest.mark.parametrize("command", ["fit", "complete", "select"])
+@pytest.mark.parametrize("command", ["fit", "select"])
 def test_cli_als_refuses_starts(masked_file, tmp_path, capsys, command):
     # ALS fits from one start, so a pool size is a usage error, not ignored
     out = tmp_path / "out"
@@ -923,32 +943,24 @@ def predictions_per_cell(mask, probs):
     return ("\n".join(lines) + "\n").encode()
 
 
-def test_cli_complete_fit_flags_path(sim_file, tmp_path, capsys):
-    x = fileio.read_binary_tensor(sim_file)
-    kept, _ = simulate.drop_uniform(x, 0.1, seed=3)
-    data = tmp_path / "masked.txt"
-    fileio.write_binary_tensor(data, kept)
-    out = tmp_path / "pred.csv"
-    rc = run_cli("complete", "--data", data, "--rank", "1", "--method", "als",
-                 "--seed", "0", "--out", out)
-    assert rc in (0, 3)
-    assert out.exists()
-
-
 def test_cli_complete_usage_errors(sim_file, tmp_path, capsys):
     out = tmp_path / "pred.csv"
-    assert run_cli("complete", "--data", sim_file, "--rank", "1", "--out", out) == 2
+    truth = f"{sim_file}.truth"
+    assert run_cli("complete", "--data", sim_file, "--model", truth, "--out", out) == 2
     assert "no missing cells" in capsys.readouterr().err
     x = fileio.read_binary_tensor(sim_file)
     kept, _ = simulate.drop_uniform(x, 0.1, seed=3)
     data = tmp_path / "masked.txt"
     fileio.write_binary_tensor(data, kept)
-    assert run_cli("complete", "--data", data, "--out", out) == 2
-    assert "--model or fit flags" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as info:
+        run_cli("complete", "--data", data, "--out", out)
+    assert info.value.code == 2
+    assert "the following arguments are required: --model" in capsys.readouterr().err
     other = tmp_path / "other.model"
     fileio.write_model(other, small_model())
     assert run_cli("complete", "--data", data, "--model", other, "--out", out) == 2
     assert "do not match" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.fixture()
@@ -973,20 +985,16 @@ def test_cli_complete_rejects_bad_threshold(masked_file, tmp_path, capsys, thres
 
 
 @pytest.mark.parametrize("bad", ["threshold", "holdout"])
-def test_cli_complete_checks_threshold_and_holdout_before_fitting(masked_file, tmp_path,
-                                                                  capsys, monkeypatch, bad):
-    def no_fit(*args, **kwargs):
-        raise AssertionError("complete fitted before checking its flags")
-
-    monkeypatch.setattr(decomp, "fit", no_fit)
+def test_cli_complete_checks_threshold_and_holdout_before_the_model_is_read(
+        masked_file, tmp_path, capsys, bad):
     hold = tmp_path / "hold.txt"
     x = fileio.read_binary_tensor(masked_file)
     dims = (x.dims[0] + 1, *x.dims[1:]) if bad == "holdout" else x.dims
     fileio.write_tensor(hold, np.ones(dims, dtype=bool))
     threshold = "1.5" if bad == "threshold" else "0.5"
     out = tmp_path / "pred.csv"
-    rc = run_cli("complete", "--data", masked_file, "--rank", "1", "--threshold", threshold,
-                 "--holdout", hold, "--out", out)
+    rc = run_cli("complete", "--data", masked_file, "--model", tmp_path / "absent.model",
+                 "--threshold", threshold, "--holdout", hold, "--out", out)
     assert rc == 2
     err = capsys.readouterr().err
     assert err == (f"error: holdout dims {dims} do not match data dims {x.dims}\n"
@@ -1023,14 +1031,15 @@ def test_cli_names_a_data_file_that_is_not_text(masked_file, tmp_path, capsys):
      ["--method", "als", "--init", "random", "--max-outer", "3", "--seed", "9"]],
 )
 def test_cli_complete_rejects_fit_flags_with_model(masked_file, tmp_path, capsys, flags):
+    # complete predicts from a model file that fit wrote and takes none of
+    # fit's nine flags
     model = tmp_path / "m.model"
     fileio.write_model(model, small_model())
     out = tmp_path / "pred.csv"
-    rc = run_cli("complete", "--data", masked_file, "--model", model, *flags, "--out", out)
-    assert rc == 2
-    err = capsys.readouterr().err
-    assert "cannot be combined with --model" in err
-    assert all(f in err for f in flags if f.startswith("--"))
+    with pytest.raises(SystemExit) as info:
+        run_cli("complete", "--data", masked_file, "--model", model, *flags, "--out", out)
+    assert info.value.code == 2
+    assert f"unrecognized arguments: {' '.join(flags)}" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -1045,13 +1054,6 @@ def test_cli_fit_flags_left_out_take_the_defaults(masked_file, tmp_path, capsys)
     assert meta["method"] == "tp"
     for echo in ("init=spectral", "max_outer_iters=50", "seed=0"):
         assert echo in meta["config"].split()
-    # complete fits with the same defaults when no --model is given
-    out = tmp_path / "pred.csv"
-    assert run_cli("complete", "--data", masked_file, "--rank", "1", "--out", out) in (0, 3)
-    probs = fileio.read_model(bare)[0].probs()
-    first = out.read_text().splitlines()[1].split(",")
-    i, j, k = (int(v) - 1 for v in first[:3])
-    assert float(first[3]) == float(probs[i, j, k])
 
 
 def test_cli_report_with_truth(sim_file, tmp_path, capsys):

@@ -12,4 +12,4 @@ import make_pins
 
 def test_fitted_arrays_and_baseline_match_the_pins():
     moved = make_pins.drift(make_pins.load()["arrays"], make_pins.array_pins_in_subprocess())
-    assert not moved, "pins moved: " + ", ".join(f"{n} ({d})" for n, d in moved.items())
+    assert not moved, f"pins moved: {moved}"
